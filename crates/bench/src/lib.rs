@@ -1,12 +1,12 @@
 //! # krisp-bench — harness regenerating every table and figure of the
 //! KRISP paper
 //!
-//! One binary per experiment (see `src/bin/`), plus shared plumbing:
-//! result caching under `results/`, the measured Required-CUs table, the
-//! isolated baselines every figure normalizes against, and the Fig 13
-//! policy sweep that Tables III/IV and Figs 13/14 all draw from.
+//! One `krisp-bench <experiment>|all` binary (`src/main.rs`), plus shared
+//! plumbing: result caching under `results/`, the measured Required-CUs
+//! table, the isolated baselines every figure normalizes against, and the
+//! Fig 13 policy sweep that Tables III/IV and Figs 13/14 all draw from.
 //!
-//! | Binary | Reproduces |
+//! | Experiment | Reproduces |
 //! |---|---|
 //! | `tables_1_2` | Tables I & II (mechanism/server taxonomies) |
 //! | `fig01_utilization` | Fig 1 (motivation: utilization ladder) |
@@ -27,7 +27,10 @@
 //! | `validation` | fluid-vs-discrete execution-model cross-check |
 //! | `robustness_faults` | fault-injection scenarios (stragglers / CU loss / crash) |
 //! | `overload_brownout` | overload guardrails: goodput sweeps, sentinel on/off |
-//! | `run_all` | everything above, in order |
+//! | `cluster_scaling` | multi-GPU scale-out per policy |
+//! | `robustness` | headline comparisons across seeds |
+//! | `summary` | headline claims recomputed from `results/*.json` |
+//! | `all` | everything above, in order |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -106,8 +109,8 @@ where
 ///
 /// Defaults to `<workspace root>/results` regardless of the process
 /// working directory (a bare relative `results` once littered
-/// `crates/bench/src/bin/results/` when binaries ran from the wrong
-/// cwd); `KRISP_RESULTS` overrides it.
+/// the crate directory when the harness ran from the wrong cwd);
+/// `KRISP_RESULTS` overrides it.
 pub fn results_dir() -> PathBuf {
     let dir = std::env::var_os("KRISP_RESULTS")
         .map(PathBuf::from)
@@ -344,7 +347,7 @@ pub fn header(title: &str) {
 }
 
 /// [`header`] as a string — seed for reports assembled off the main
-/// thread (the `report()` functions `run_all` computes in parallel and
+/// thread (the `report()` functions `krisp-bench all` computes in parallel and
 /// prints in original order).
 pub fn header_text(title: &str) -> String {
     format!("\n=== {title} ===\n")

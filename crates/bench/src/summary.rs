@@ -29,8 +29,8 @@ fn push(claims: &mut Vec<Claim>, paper: &str, measured: String, holds: bool) {
     });
 }
 
-/// Builds the digest from the cached batch-32 sweep (run `fig13_main` or
-/// `run_all` first). Returns `None` if no sweep has been recorded yet.
+/// Builds the digest from the cached batch-32 sweep (run `krisp-bench
+/// fig13_main` or `krisp-bench all` first). Returns `None` if no sweep has been recorded yet.
 pub fn digest() -> Option<Vec<Claim>> {
     let sweep: Sweep = load_json("sweep_b32.json")?;
     let mut claims = Vec::new();
@@ -135,7 +135,7 @@ pub fn digest() -> Option<Vec<Claim>> {
 pub fn run() {
     header("Summary: paper claims vs this reproduction");
     let Some(claims) = digest() else {
-        println!("no cached sweep found — run `fig13_main` or `run_all` first");
+        println!("no cached sweep found — run `krisp-bench fig13_main` or `krisp-bench all` first");
         return;
     };
     let mut md = String::from(

@@ -18,9 +18,10 @@
 //!    routing at instant *t* sees every device quiesced up to *t*.
 //! 3. Otherwise one **device** event is stepped.
 //!
-//! The single-GPU server schedules its arrivals as runtime timers, so it
-//! runs [`drive`] with an empty arrival vector and no control events —
-//! the loop degenerates to stepping the device machine until drained.
+//! The multi-GPU cluster implements [`Dispatcher`]. The single-GPU
+//! server does not use [`drive`]: its arrivals are timers on its one
+//! runtime (they interleave with kernel completions under the machine's
+//! own tie-breaks), so it steps that runtime directly.
 //!
 //! [`drive`] queries `next_device_at` once per loop iteration, so a
 //! multi-device dispatcher should not rescan its whole fleet on every
@@ -68,10 +69,9 @@ pub trait Dispatcher {
     /// Earliest pending device event across all devices, if any.
     fn next_device_at(&self) -> Option<SimTime>;
 
-    /// Steps exactly one device event. Returns `false` to stop the
-    /// loop (the single-GPU server stops when its machine drains);
-    /// dispatchers that drive to a horizon simply return `true`.
-    fn step_device(&mut self) -> bool;
+    /// Steps exactly one device event — the one whose time
+    /// [`Dispatcher::next_device_at`] just reported.
+    fn step_device(&mut self);
 
     /// Accepts one external arrival: admit/shed, route, and enqueue.
     fn on_arrival(&mut self, arrival: ExternalArrival);
@@ -79,8 +79,7 @@ pub trait Dispatcher {
 
 /// Runs `dispatcher` to completion against a time-sorted arrival
 /// stream, with the tie-break order documented at module level. Returns
-/// when every source is exhausted or [`Dispatcher::step_device`]
-/// requests a stop.
+/// when every source is exhausted.
 pub fn drive<D: Dispatcher>(dispatcher: &mut D, mut arrivals: Vec<ExternalArrival>) {
     // Pop from the back in time order.
     arrivals.reverse();
@@ -106,8 +105,8 @@ pub fn drive<D: Dispatcher>(dispatcher: &mut D, mut arrivals: Vec<ExternalArriva
         if take_arrival {
             let a = arrivals.pop().expect("checked above");
             dispatcher.on_arrival(a);
-        } else if !dispatcher.step_device() {
-            break;
+        } else {
+            dispatcher.step_device();
         }
     }
 }
@@ -122,8 +121,6 @@ mod tests {
         control: Vec<SimTime>,
         device: Vec<SimTime>,
         log: Vec<(char, u64)>,
-        stop_after_devices: Option<usize>,
-        devices_stepped: usize,
     }
 
     impl Script {
@@ -138,8 +135,6 @@ mod tests {
                 control,
                 device,
                 log: Vec::new(),
-                stop_after_devices: None,
-                devices_stepped: 0,
             }
         }
     }
@@ -155,11 +150,9 @@ mod tests {
         fn next_device_at(&self) -> Option<SimTime> {
             self.device.last().copied()
         }
-        fn step_device(&mut self) -> bool {
+        fn step_device(&mut self) {
             let t = self.device.pop().expect("device pending");
             self.log.push(('d', t.as_nanos()));
-            self.devices_stepped += 1;
-            self.stop_after_devices != Some(self.devices_stepped)
         }
         fn on_arrival(&mut self, arrival: ExternalArrival) {
             self.log.push(('a', arrival.at.as_nanos()));
@@ -196,15 +189,6 @@ mod tests {
             s.log,
             vec![('d', 5), ('a', 10), ('c', 15), ('d', 25), ('a', 30)]
         );
-    }
-
-    #[test]
-    fn device_stop_ends_the_loop_with_work_pending() {
-        let mut s = Script::new(&[], &[5, 6, 7]);
-        s.stop_after_devices = Some(2);
-        drive(&mut s, Vec::new());
-        assert_eq!(s.log, vec![('d', 5), ('d', 6)]);
-        assert_eq!(s.device.len(), 1, "third device event untouched");
     }
 
     #[test]

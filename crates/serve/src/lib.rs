@@ -2,17 +2,16 @@
 //!
 //! One serving engine under every front-end. The single-GPU server
 //! (`krisp_server::experiment`) and the multi-GPU cluster
-//! (`krisp_server::cluster`) used to carry parallel implementations of
-//! workers, bounded queues, admission guardrails, arrival generation,
-//! deadlines, and flow accounting; this crate owns the single copy of
-//! each, parameterized over the [`engine::Dispatcher`] trait so routing,
-//! health, and hedging policy stay with the deployment that needs them.
+//! (`krisp_server::cluster`) both serve through this crate's
+//! [`Worker`]s, request queues, admission guardrails, arrival
+//! generators, and flow books. Routing, health, and hedging stay with
+//! the cluster, which drives its fleet through the [`engine::Dispatcher`]
+//! trait; the single-GPU server steps its one runtime directly.
 //!
 //! The pieces, bottom-up:
 //!
-//! - [`queue`] — [`InferenceRequest`], the generic bounded
-//!   [`RequestQueue`] with optional CoDel sojourn shedding (over any
-//!   [`Sojourn`] payload).
+//! - [`queue`] — [`InferenceRequest`] and the bounded [`RequestQueue`]
+//!   with optional CoDel sojourn shedding.
 //! - [`sentinel`] — token-bucket admission, the brownout hysteresis
 //!   state machine, and the [`AdmissionChain`] that composes them in
 //!   guardrail order.
@@ -21,7 +20,7 @@
 //! - [`arrival`] — the [`Arrival`] process descriptions plus the
 //!   deterministic Poisson stream generators.
 //! - [`worker`] — the per-model [`Worker`] lifecycle (queue → batch →
-//!   launch → record).
+//!   tagged launch → end or discard the run).
 //! - [`calendar`] — the invalidating [`EventCalendar`] multi-device
 //!   dispatchers use to answer `next_device_at` without re-scanning
 //!   every device per event.
@@ -48,9 +47,9 @@ pub use arrival::{exp_sample, poisson_arrivals, Arrival};
 pub use books::{FlowCounters, RobustnessCounters, SentinelCounters};
 pub use calendar::EventCalendar;
 pub use engine::{drive, Dispatcher, ExternalArrival};
-pub use queue::{InferenceRequest, RequestQueue, Sojourn};
+pub use queue::{InferenceRequest, RequestQueue};
 pub use sentinel::{
     AdmissionChain, BrownoutConfig, BrownoutController, SentinelConfig, SentinelState, TokenBucket,
     TokenBucketConfig,
 };
-pub use worker::Worker;
+pub use worker::{worker_on, Worker};

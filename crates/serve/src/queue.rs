@@ -1,12 +1,10 @@
-//! Inference requests and the generic bounded request queues of the
-//! serving front-end.
+//! Inference requests and the bounded request queues of the serving
+//! front-end.
 
 use std::collections::VecDeque;
 
 use krisp_models::ModelKind;
-use krisp_sim::{CoDel, CoDelConfig, SimDuration, SimTime};
-
-pub use krisp_sim::Sojourn;
+use krisp_sim::{CoDel, CoDelConfig, SimTime};
 
 /// One client inference request (a batch of inputs for one model).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,13 +15,28 @@ pub struct InferenceRequest {
     pub model: ModelKind,
     /// Batch size.
     pub batch: u32,
-    /// When the front-end enqueued the request.
+    /// When the request first reached the front-end (the latency
+    /// reference).
+    pub arrival: SimTime,
+    /// When the request entered its current queue (the deadline and
+    /// sojourn reference; a retry re-enqueues with a fresh instant).
     pub enqueued_at: SimTime,
+    /// Whether this copy was already moved to another device (a retry or
+    /// a hedge copy), so it is never moved again.
+    pub retried: bool,
 }
 
-impl Sojourn for InferenceRequest {
-    fn enqueued_at(&self) -> SimTime {
-        self.enqueued_at
+impl InferenceRequest {
+    /// A fresh request arriving (and enqueued) at `at`.
+    pub fn new(id: u64, model: ModelKind, batch: u32, at: SimTime) -> InferenceRequest {
+        InferenceRequest {
+            id,
+            model,
+            batch,
+            arrival: at,
+            enqueued_at: at,
+            retried: false,
+        }
     }
 }
 
@@ -50,21 +63,16 @@ impl Sojourn for InferenceRequest {
 /// use krisp_sim::SimTime;
 ///
 /// let mut q = RequestQueue::bounded(1);
-/// let req = |id| InferenceRequest {
-///     id,
-///     model: ModelKind::Albert,
-///     batch: 32,
-///     enqueued_at: SimTime::ZERO,
-/// };
+/// let req = |id| InferenceRequest::new(id, ModelKind::Albert, 32, SimTime::ZERO);
 /// assert!(q.push(req(0)).is_ok());
 /// assert!(q.push(req(1)).is_err()); // full: shed
 /// assert_eq!(q.shed(), 1);
 /// assert_eq!(q.pop().unwrap().id, 0);
 /// assert!(q.is_empty());
 /// ```
-#[derive(Debug, Clone)]
-pub struct RequestQueue<T = InferenceRequest> {
-    queue: VecDeque<T>,
+#[derive(Debug, Clone, Default)]
+pub struct RequestQueue {
+    queue: VecDeque<InferenceRequest>,
     max_depth: usize,
     /// `None` = unbounded (the pre-robustness behavior).
     capacity: Option<usize>,
@@ -73,22 +81,9 @@ pub struct RequestQueue<T = InferenceRequest> {
     shed_sojourn: u64,
 }
 
-impl<T> Default for RequestQueue<T> {
-    fn default() -> RequestQueue<T> {
-        RequestQueue {
-            queue: VecDeque::new(),
-            max_depth: 0,
-            capacity: None,
-            shed: 0,
-            codel: None,
-            shed_sojourn: 0,
-        }
-    }
-}
-
-impl<T> RequestQueue<T> {
+impl RequestQueue {
     /// Creates an empty unbounded queue.
-    pub fn new() -> RequestQueue<T> {
+    pub fn new() -> RequestQueue {
         RequestQueue::default()
     }
 
@@ -98,7 +93,7 @@ impl<T> RequestQueue<T> {
     /// # Panics
     ///
     /// Panics if `capacity` is zero (such a queue could never serve).
-    pub fn bounded(capacity: usize) -> RequestQueue<T> {
+    pub fn bounded(capacity: usize) -> RequestQueue {
         assert!(
             capacity > 0,
             "a queue needs capacity for at least one request"
@@ -111,7 +106,7 @@ impl<T> RequestQueue<T> {
 
     /// Attaches a CoDel sojourn-time dropper, enabled on every
     /// [`RequestQueue::pop_at`] call.
-    pub fn with_codel(mut self, cfg: CoDelConfig) -> RequestQueue<T> {
+    pub fn with_codel(mut self, cfg: CoDelConfig) -> RequestQueue {
         self.codel = Some(CoDel::new(cfg));
         self
     }
@@ -122,7 +117,7 @@ impl<T> RequestQueue<T> {
     /// # Errors
     ///
     /// Returns the request itself when the queue is at capacity.
-    pub fn push(&mut self, request: T) -> Result<(), T> {
+    pub fn push(&mut self, request: InferenceRequest) -> Result<(), InferenceRequest> {
         if self.capacity.is_some_and(|cap| self.queue.len() >= cap) {
             self.shed += 1;
             return Err(request);
@@ -134,7 +129,7 @@ impl<T> RequestQueue<T> {
 
     /// Dequeues the oldest request, bypassing the CoDel law (closed-loop
     /// paths and drains that must not shed).
-    pub fn pop(&mut self) -> Option<T> {
+    pub fn pop(&mut self) -> Option<InferenceRequest> {
         self.queue.pop_front()
     }
 
@@ -149,7 +144,7 @@ impl<T> RequestQueue<T> {
     }
 
     /// Iterates the waiting requests, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
+    pub fn iter(&self) -> impl Iterator<Item = &InferenceRequest> {
         self.queue.iter()
     }
 
@@ -172,9 +167,7 @@ impl<T> RequestQueue<T> {
     pub fn shed_sojourn(&self) -> u64 {
         self.shed_sojourn
     }
-}
 
-impl<T: Sojourn> RequestQueue<T> {
     /// Dequeues the oldest request at instant `now`, applying the CoDel
     /// sojourn law when one is attached: heads the law rejects are
     /// returned in the first tuple slot (for the caller to account/emit
@@ -182,13 +175,13 @@ impl<T: Sojourn> RequestQueue<T> {
     /// second. Without CoDel this is exactly [`RequestQueue::pop`] with
     /// an empty drop list. CoDel never drops the last waiting item, so a
     /// non-empty queue always serves something.
-    pub fn pop_at(&mut self, now: SimTime) -> (Vec<T>, Option<T>) {
+    pub fn pop_at(&mut self, now: SimTime) -> (Vec<InferenceRequest>, Option<InferenceRequest>) {
         let mut dropped = Vec::new();
         while let Some(head) = self.queue.pop_front() {
             let Some(codel) = self.codel.as_mut() else {
                 return (dropped, Some(head));
             };
-            let sojourn: SimDuration = now.saturating_since(head.enqueued_at());
+            let sojourn = now.saturating_since(head.enqueued_at);
             if codel.on_dequeue(sojourn, now, self.queue.len() + 1) {
                 self.shed_sojourn += 1;
                 dropped.push(head);
@@ -205,20 +198,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    use krisp_sim::SimDuration;
+
     fn req(id: u64) -> InferenceRequest {
-        InferenceRequest {
-            id,
-            model: ModelKind::Albert,
-            batch: 32,
-            enqueued_at: SimTime::ZERO,
-        }
+        req_at(id, 0)
     }
 
     fn req_at(id: u64, at_ns: u64) -> InferenceRequest {
-        InferenceRequest {
-            enqueued_at: SimTime::from_nanos(at_ns),
-            ..req(id)
-        }
+        InferenceRequest::new(id, ModelKind::Albert, 32, SimTime::from_nanos(at_ns))
     }
 
     #[test]
@@ -271,12 +258,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
-        RequestQueue::<InferenceRequest>::bounded(0);
+        RequestQueue::bounded(0);
     }
 
     #[test]
     fn pop_at_without_codel_is_plain_pop() {
-        let mut q: RequestQueue = RequestQueue::new();
+        let mut q = RequestQueue::new();
         q.push(req_at(1, 0)).unwrap();
         let (dropped, served) = q.pop_at(SimTime::from_nanos(u64::MAX / 2));
         assert!(dropped.is_empty());
@@ -290,7 +277,7 @@ mod tests {
             target: SimDuration::from_micros(10),
             interval: SimDuration::from_micros(100),
         };
-        let mut q: RequestQueue = RequestQueue::new().with_codel(cfg);
+        let mut q = RequestQueue::new().with_codel(cfg);
         for i in 0..8 {
             q.push(req_at(i, 0)).unwrap();
         }
@@ -327,7 +314,7 @@ mod tests {
                 target: SimDuration::from_micros(target_us),
                 interval: SimDuration::from_micros(target_us * 10),
             };
-            let mut q: RequestQueue = RequestQueue::new().with_codel(cfg);
+            let mut q = RequestQueue::new().with_codel(cfg);
             let mut now = 0u64;
             for (i, gap) in gaps.iter().enumerate() {
                 now += gap;
@@ -351,7 +338,7 @@ mod tests {
                 target: SimDuration::from_micros(target_us),
                 interval: SimDuration::from_micros(target_us * 4),
             };
-            let mut q: RequestQueue = RequestQueue::new().with_codel(cfg);
+            let mut q = RequestQueue::new().with_codel(cfg);
             for i in 0..n {
                 q.push(req_at(i as u64, (i as u64) * 10)).unwrap();
             }

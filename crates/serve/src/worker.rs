@@ -1,11 +1,20 @@
 //! The per-model worker: queue → batch → launch → record.
 //!
 //! One [`Worker`] owns one stream on one device and serves one model.
-//! It is deployment-agnostic: the single-GPU server drives a vector of
-//! them directly, while the cluster wraps its own routing around the
-//! same lifecycle. Kernel traces are shared [`Arc`]s, so co-located
-//! workers of the same model reference one trace instead of carrying
-//! per-worker copies.
+//! It is deployment-agnostic: the single-GPU server and every GPU of the
+//! cluster hold a vector of them, one per model. Kernel traces are
+//! shared [`Arc`]s, so co-located workers of the same model (and the
+//! same model's workers across a cluster's GPUs) reference one trace
+//! instead of carrying per-worker copies.
+//!
+//! A worker runs one inference run at a time and tags its kernels so a
+//! completion can be matched to the run that launched it
+//! ([`Worker::end_run`]). Runs normally end with their final kernel, and
+//! the next run's tags restart at 0 — the stream is serial, so nothing
+//! older is left on it. A run the deployment discards mid-flight (a
+//! crash, [`Worker::discard_run`]) keeps draining on the stream, so the
+//! next run's tags start past the discarded ones and the stale tail can
+//! never end the new run.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -33,19 +42,20 @@ pub struct Worker {
     pub launch_overhead: SimDuration,
     /// The bounded request queue (with optional CoDel shedding).
     pub queue: RequestQueue,
-    /// Enqueue times of samples awaiting batch formation (OpenBatched).
-    pub sample_queue: VecDeque<SimTime>,
-    /// Whether an inference run is in flight on this worker's stream.
-    pub busy: bool,
-    /// Request/sample start times of the in-flight run.
-    pub inflight_starts: Vec<SimTime>,
-    /// Kernel count of the in-flight run (its last tag + 1).
-    pub inflight_kernels: usize,
+    /// Samples awaiting batch formation (OpenBatched).
+    pub sample_queue: VecDeque<InferenceRequest>,
+    /// Requests (or batched samples) of the in-flight run; empty exactly
+    /// when `final_tag` is `None`.
+    inflight: Vec<InferenceRequest>,
+    /// Tag of the in-flight run's final kernel (`None` when idle).
+    final_tag: Option<u64>,
+    /// Tag of the next run's first kernel.
+    next_tag: u64,
     /// (completion time, latency ms) per finished request or sample.
     pub records: Vec<(SimTime, f64)>,
     /// Next request/sample id this worker will assign.
     pub next_request_id: u64,
-    /// Event bus tagged with this worker's index (disabled by default).
+    /// Event bus tagged with this worker's track (disabled by default).
     pub bus: EventBus,
     /// Queued requests dropped for exceeding the deadline.
     pub timed_out: u64,
@@ -74,9 +84,9 @@ impl Worker {
             launch_overhead,
             queue,
             sample_queue: VecDeque::new(),
-            busy: false,
-            inflight_starts: Vec::new(),
-            inflight_kernels: 0,
+            inflight: Vec::new(),
+            final_tag: None,
+            next_tag: 0,
             records: Vec::new(),
             next_request_id: 0,
             bus,
@@ -84,6 +94,30 @@ impl Worker {
             failed_requests: 0,
             failed_kernels: 0,
         }
+    }
+
+    /// Whether an inference run is in flight on this worker's stream.
+    pub fn busy(&self) -> bool {
+        self.final_tag.is_some()
+    }
+
+    /// Requests (or batched samples) of the in-flight run; empty when
+    /// idle.
+    pub fn inflight(&self) -> &[InferenceRequest] {
+        &self.inflight
+    }
+
+    /// Requests queued or in flight (the router's load signal).
+    pub fn outstanding(&self) -> usize {
+        self.queue.len() + self.inflight.len()
+    }
+
+    /// A fresh request for this worker's model arriving at `at`, with
+    /// the next request id.
+    pub fn new_request(&mut self, batch: u32, at: SimTime) -> InferenceRequest {
+        let id = self.next_request_id;
+        self.next_request_id += 1;
+        InferenceRequest::new(id, self.model, batch, at)
     }
 
     /// Pops the next request still worth serving: CoDel (when the queue
@@ -118,15 +152,12 @@ impl Worker {
         }
     }
 
-    /// Starts one whole request of the configured batch size.
-    pub fn start_inference(&mut self, rt: &mut Runtime, started: SimTime) {
-        debug_assert!(!self.busy);
-        self.busy = true;
-        self.inflight_kernels = self.trace.len();
-        self.inflight_starts = vec![started];
-        for (i, k) in self.trace.iter().enumerate() {
-            rt.launch(self.stream, k.clone(), i as u64);
-        }
+    /// Starts `req` as one whole run of the configured batch size.
+    pub fn start_inference(&mut self, rt: &mut Runtime, req: InferenceRequest) {
+        debug_assert!(!self.busy());
+        self.inflight.push(req);
+        let trace = Arc::clone(&self.trace);
+        self.launch(rt, &trace);
     }
 
     /// Dynamic batching: forms and launches a batch when the front-end
@@ -138,10 +169,10 @@ impl Worker {
         max_batch: u32,
         batch_timeout: SimDuration,
     ) {
-        if self.busy {
+        if self.busy() {
             return;
         }
-        let Some(&oldest) = self.sample_queue.front() else {
+        let Some(oldest) = self.sample_queue.front().map(|s| s.enqueued_at) else {
             return;
         };
         let full = self.sample_queue.len() >= max_batch as usize;
@@ -150,7 +181,7 @@ impl Worker {
             return;
         }
         let take = self.sample_queue.len().min(max_batch as usize);
-        let starts: Vec<SimTime> = self.sample_queue.drain(..take).collect();
+        self.inflight.extend(self.sample_queue.drain(..take));
         let batch = take as u32;
         self.bus.emit(now.as_nanos(), || EventKind::BatchFormed {
             batch,
@@ -168,11 +199,119 @@ impl Worker {
                 },
             ))
         }));
-        self.busy = true;
-        self.inflight_kernels = trace.len();
-        self.inflight_starts = starts;
+        self.launch(rt, &trace);
+    }
+
+    /// Launches `trace` as the in-flight run, tagged from `next_tag`.
+    fn launch(&mut self, rt: &mut Runtime, trace: &[KernelDesc]) {
+        debug_assert!(!trace.is_empty(), "a run launches at least one kernel");
+        let base = self.next_tag;
         for (i, k) in trace.iter().enumerate() {
-            rt.launch(self.stream, k.clone(), i as u64);
+            rt.launch(self.stream, k.clone(), base + i as u64);
         }
+        self.next_tag = base + trace.len() as u64;
+        self.final_tag = Some(self.next_tag - 1);
+    }
+
+    /// Ends the in-flight run if `tag` is its final kernel (completed or
+    /// abandoned) and returns the requests it carried. Any other kernel
+    /// — including the tail of a discarded run — returns `None`.
+    pub fn end_run(&mut self, tag: u64) -> Option<Vec<InferenceRequest>> {
+        if self.final_tag != Some(tag) {
+            return None;
+        }
+        self.final_tag = None;
+        self.next_tag = 0;
+        Some(std::mem::take(&mut self.inflight))
+    }
+
+    /// Discards the in-flight run (its process died): the kernels keep
+    /// draining on the stream but no longer end a run. Returns the
+    /// requests it carried.
+    pub fn discard_run(&mut self) -> Vec<InferenceRequest> {
+        self.final_tag = None;
+        std::mem::take(&mut self.inflight)
+    }
+}
+
+/// Index of the worker that owns `stream`.
+///
+/// # Panics
+///
+/// Panics if no worker launches on `stream`.
+pub fn worker_on(workers: &[Worker], stream: StreamId) -> usize {
+    workers
+        .iter()
+        .position(|w| w.stream == stream)
+        .expect("runtime event on a stream no worker owns")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use krisp_runtime::{RtEvent, RuntimeConfig};
+
+    fn worker(rt: &mut Runtime) -> Worker {
+        let trace = generate_trace(ModelKind::Squeezenet, &TraceConfig::default());
+        Worker::new(
+            rt.create_stream(),
+            ModelKind::Squeezenet,
+            Arc::new(trace[..3].to_vec()),
+            SimDuration::ZERO,
+            RequestQueue::new(),
+            EventBus::disabled(),
+        )
+    }
+
+    /// Steps `rt` to its next kernel completion and returns the tag.
+    fn next_completion(rt: &mut Runtime) -> Option<u64> {
+        loop {
+            match rt.step()? {
+                RtEvent::KernelCompleted { tag, .. } => return Some(tag),
+                _ => continue,
+            }
+        }
+    }
+
+    #[test]
+    fn completed_runs_end_on_their_final_kernel_and_restart_tags() {
+        let mut rt = Runtime::new(RuntimeConfig::default());
+        let mut w = worker(&mut rt);
+        for id in 0..2 {
+            let req = w.new_request(32, rt.now());
+            w.start_inference(&mut rt, req);
+            assert_eq!(next_completion(&mut rt), Some(0));
+            assert_eq!(w.end_run(0), None);
+            assert_eq!(next_completion(&mut rt), Some(1));
+            assert_eq!(next_completion(&mut rt), Some(2));
+            assert_eq!(w.end_run(2).map(|r| r[0].id), Some(id));
+            assert!(!w.busy());
+        }
+    }
+
+    #[test]
+    fn a_discarded_runs_tail_never_ends_the_next_run() {
+        let mut rt = Runtime::new(RuntimeConfig::default());
+        let mut w = worker(&mut rt);
+        let stale = w.new_request(32, rt.now());
+        w.start_inference(&mut rt, stale);
+        assert_eq!(next_completion(&mut rt), Some(0));
+        assert_eq!(w.discard_run(), vec![stale]);
+        assert!(!w.busy());
+
+        let fresh = w.new_request(32, rt.now());
+        w.start_inference(&mut rt, fresh);
+        let mut ends = Vec::new();
+        let mut last = None;
+        while let Some(tag) = next_completion(&mut rt) {
+            if let Some(reqs) = w.end_run(tag) {
+                ends.push((tag, reqs));
+            }
+            last = Some(tag);
+        }
+        // The stale run's final kernel (tag 2) completes while the fresh
+        // run is in flight; only the fresh run's own final kernel ends it.
+        assert_eq!(last, Some(5));
+        assert_eq!(ends, vec![(5, vec![fresh])]);
     }
 }

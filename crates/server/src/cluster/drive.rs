@@ -1,64 +1,37 @@
-//! The cluster dispatcher: GPU bring-up, routing, and the per-event
-//! logic behind the shared serving engine's conservative event loop.
+//! The cluster dispatcher: routing and the per-event logic behind the
+//! shared serving engine's conservative event loop.
 //!
-//! [`run_cluster_observed`] builds one `ClusterEngine` and hands it to
+//! [`run_cluster_observed`] brings every GPU up from one shared plan
+//! (the same bring-up as the single-GPU server), builds one
+//! `ClusterEngine`, and hands it to
 //! [`krisp_serve_core::engine::drive`]; the engine's
 //! [`Dispatcher`] implementation encodes the cluster's tie-breaks
 //! (crash ≥ hedge ≥ arrival ≥ GPU event at equal instants) so same-seed
 //! runs replay bit-identically.
 
 use std::cmp::Reverse;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use krisp::{KrispAllocator, Policy};
-use krisp_models::{generate_trace, TraceConfig};
+use krisp::DistributionPolicy;
+use krisp_models::TraceConfig;
 use krisp_obs::{EventBus, EventKind, Obs};
-use krisp_runtime::{KrispError, PartitionMode, RequiredCusTable, RtEvent, Runtime, RuntimeConfig};
+use krisp_runtime::{KrispError, RequiredCusTable, RtEvent, Runtime, RuntimeConfig};
 use krisp_serve_core::engine::{drive, Dispatcher, ExternalArrival};
-use krisp_serve_core::{poisson_arrivals, EventCalendar};
-use krisp_sim::{CuMask, KernelDesc, SimTime};
+use krisp_serve_core::{
+    poisson_arrivals, worker_on, EventCalendar, InferenceRequest, RequestQueue, Worker,
+};
+use krisp_sim::{MachineError, SimTime};
 
 use super::config::{ClusterConfig, CrashScript, Routing};
 use super::health::{apply_crash, finish_restart, maybe_begin_restart, note_failure, GpuHealth};
 use super::hedge::{fire_hedge, HedgeState};
 use super::result::{self, ClusterResult, ClusterRobustness};
-use crate::request::{RequestQueue, Sojourn};
-
-/// A request waiting at (or running on) a GPU worker.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct QueuedReq {
-    pub(super) id: u64,
-    /// Original arrival at the front-end (latency reference).
-    pub(super) arrival: SimTime,
-    /// Last enqueue instant (deadline reference; reset on retry).
-    pub(super) enqueued: SimTime,
-    pub(super) retried: bool,
-}
-
-impl Sojourn for QueuedReq {
-    fn enqueued_at(&self) -> SimTime {
-        self.enqueued
-    }
-}
-
-pub(super) struct GpuWorker {
-    pub(super) stream: krisp_runtime::StreamId,
-    pub(super) trace_len: usize,
-    pub(super) inflight: Option<QueuedReq>,
-    /// Tag base of the in-flight run (tags are `base..base + trace_len`),
-    /// so completions of runs discarded by a crash are not misattributed.
-    pub(super) inflight_base: u64,
-    pub(super) launched_runs: u64,
-    pub(super) queue: RequestQueue<QueuedReq>,
-    pub(super) outstanding: usize,
-}
+use crate::gpu::GpuPlan;
 
 pub(super) struct Gpu {
     pub(super) rt: Runtime,
     /// Worker per model (same index as `ClusterConfig::models`).
-    pub(super) workers: Vec<GpuWorker>,
-    pub(super) stream_to_worker: HashMap<krisp_runtime::StreamId, usize>,
+    pub(super) workers: Vec<Worker>,
     pub(super) health: GpuHealth,
     /// Failures counted toward the breaker threshold.
     pub(super) failures: u32,
@@ -91,8 +64,7 @@ pub(super) const TOKEN_RESTART: u64 = 0x7000_0000_0000_0000;
 pub(super) struct ClusterEngine<'a> {
     pub(super) config: &'a ClusterConfig,
     pub(super) gpus: Vec<Gpu>,
-    pub(super) masks: Option<Vec<CuMask>>,
-    pub(super) traces: Vec<Vec<KernelDesc>>,
+    pub(super) plan: GpuPlan,
     pub(super) rob: ClusterRobustness,
     pub(super) rr_next: usize,
     pub(super) latencies_ms: Vec<f64>,
@@ -136,12 +108,12 @@ impl Dispatcher for ClusterEngine<'_> {
             let crash = self.pending_crash.take().expect("checked above");
             apply_crash(&mut self.gpus, &crash, &mut self.rob, &mut self.hedge);
         } else if let Some(Reverse((at, id, mi, primary, arrival))) = self.hedge.pending.pop() {
+            let req = InferenceRequest::new(id, self.config.models[mi], self.config.batch, arrival);
             fire_hedge(
                 &mut self.gpus,
-                id,
+                req,
                 mi,
                 primary,
-                arrival,
                 at,
                 &mut self.rob,
                 &mut self.hedge,
@@ -160,16 +132,13 @@ impl Dispatcher for ClusterEngine<'_> {
     /// index on ties, so same-seed runs replay identically — the
     /// calendar resolves ties by lowest slot index, matching the
     /// `(time, gpu)` min-scan it replaced).
-    fn step_device(&mut self) -> bool {
-        let Some((_, gi)) = self.calendar.earliest() else {
-            return false;
-        };
+    fn step_device(&mut self) {
+        let (_, gi) = self.calendar.earliest().expect("a device event is pending");
         self.handle_gpu_event(gi);
         // Completions can retry requests onto other GPUs and restarts
         // touch health fleet-wide, so conservatively re-query everyone.
         self.calendar.invalidate_all();
         self.refresh_calendar();
-        true
     }
 
     /// Routes an arrival to a GPU — all GPUs are quiesced up to the
@@ -202,15 +171,10 @@ impl Dispatcher for ClusterEngine<'_> {
         // the request waits out the restart instead of vanishing.
         .unwrap_or_else(|| {
             (0..config.gpus)
-                .min_by_key(|&g| gpus[g].workers[mi].outstanding)
+                .min_by_key(|&g| gpus[g].workers[mi].outstanding())
                 .expect("at least one GPU")
         });
-        let req = QueuedReq {
-            id,
-            arrival: ta,
-            enqueued: ta,
-            retried: false,
-        };
+        let req = InferenceRequest::new(id, config.models[mi], config.batch, ta);
         let admitted = enqueue(&mut gpus[gi], mi, req, ta);
         if admitted {
             if let Some(h) = config.hedge {
@@ -243,8 +207,7 @@ impl ClusterEngine<'_> {
         let ClusterEngine {
             config,
             gpus,
-            masks,
-            traces,
+            plan,
             rob,
             latencies_ms,
             per_gpu,
@@ -254,21 +217,18 @@ impl ClusterEngine<'_> {
         } = self;
         match gpus[gi].rt.step() {
             Some(RtEvent::TimerFired { token, at }) if token == TOKEN_RESTART => {
-                finish_restart(gpus, gi, at, config, masks, traces, rob, hedge);
+                finish_restart(gpus, gi, at, config, plan, rob, hedge);
             }
             Some(RtEvent::TimerFired { token, at }) => {
                 let mi = token as usize;
-                try_start(gpus, gi, mi, at, config, traces, rob, hedge);
+                try_start(gpus, gi, mi, at, config, rob, hedge);
             }
             Some(RtEvent::KernelCompleted { stream, tag, at }) => {
-                let mi = gpus[gi].stream_to_worker[&stream];
-                let w = &mut gpus[gi].workers[mi];
-                let done = w
-                    .inflight
-                    .filter(|_| tag + 1 == w.inflight_base + w.trace_len as u64);
-                if let Some(req) = done {
-                    w.inflight = None;
-                    w.outstanding -= 1;
+                let mi = worker_on(&gpus[gi].workers, stream);
+                let Some(done) = gpus[gi].workers[mi].end_run(tag) else {
+                    return;
+                };
+                for req in done {
                     match hedge.settle_completion(req.id) {
                         // A copy that lost the hedge race: discard.
                         None => {}
@@ -280,10 +240,9 @@ impl ClusterEngine<'_> {
                                     gpu: gi as u32,
                                 });
                             }
-                            // Only completions inside the horizon
-                            // count: the post-horizon backlog drain
-                            // would inflate throughput beyond
-                            // capacity.
+                            // Only completions inside the horizon count:
+                            // the post-horizon backlog drain would
+                            // inflate throughput beyond capacity.
                             if at <= horizon_end {
                                 latencies_ms.push(at.saturating_since(req.arrival).as_millis_f64());
                                 per_gpu[gi] += 1;
@@ -292,35 +251,30 @@ impl ClusterEngine<'_> {
                             }
                         }
                     }
-                    if at <= horizon_end {
-                        try_start(gpus, gi, mi, at, config, traces, rob, hedge);
-                    }
-                    maybe_begin_restart(&mut gpus[gi], gi, at, config);
                 }
+                if at <= horizon_end {
+                    try_start(gpus, gi, mi, at, config, rob, hedge);
+                }
+                maybe_begin_restart(&mut gpus[gi], gi, at, config);
             }
             Some(RtEvent::KernelFailed {
                 stream, tag, at, ..
             }) => {
                 rob.failed_kernels += 1;
-                let mi = gpus[gi].stream_to_worker[&stream];
-                let w = &mut gpus[gi].workers[mi];
-                let fatal = w
-                    .inflight
-                    .filter(|_| tag + 1 == w.inflight_base + w.trace_len as u64);
-                if let Some(req) = fatal {
-                    // The request's final kernel died: this copy is
-                    // lost, the worker moves on. The request itself is
-                    // lost only if no hedge copy is still racing.
-                    w.inflight = None;
-                    w.outstanding -= 1;
+                let mi = worker_on(&gpus[gi].workers, stream);
+                // The run's final kernel died: its copies are lost and
+                // the worker moves on. A request itself is lost only if
+                // no hedge copy is still racing.
+                let lost = gpus[gi].workers[mi].end_run(tag);
+                for req in lost.iter().flatten() {
                     if hedge.settle_negative(req.id) {
                         rob.failed_requests += 1;
                     }
                 }
                 note_failure(gpus, gi, at, config, rob, hedge);
-                if fatal.is_some() {
+                if lost.is_some() {
                     if gpus[gi].routable() && at <= horizon_end {
-                        try_start(gpus, gi, mi, at, config, traces, rob, hedge);
+                        try_start(gpus, gi, mi, at, config, rob, hedge);
                     }
                     maybe_begin_restart(&mut gpus[gi], gi, at, config);
                 }
@@ -368,13 +322,17 @@ pub fn run_cluster_observed(
         );
     }
 
-    let trace_cfg = TraceConfig::with_batch(config.batch);
-    let traces: Vec<Vec<KernelDesc>> = config
-        .models
-        .iter()
-        .map(|&m| generate_trace(m, &trace_cfg))
-        .collect();
-    let masks = policy_masks(config);
+    let plan = GpuPlan::new(
+        config.policy,
+        &config.models,
+        &TraceConfig::with_batch(config.batch),
+        &config.topology,
+        None,
+        DistributionPolicy::Conserved,
+        config
+            .queue_capacity
+            .map_or_else(RequestQueue::new, RequestQueue::bounded),
+    );
     let mut rob = ClusterRobustness::default();
 
     // --- Bring up the GPUs --------------------------------------------
@@ -383,62 +341,33 @@ pub fn run_cluster_observed(
     let shared_db = Arc::new(perfdb.clone());
     let gpus: Vec<Gpu> = (0..config.gpus)
         .map(|gi| {
-            let mode = if config.policy.is_kernel_scoped() {
-                PartitionMode::KernelScopedNative
-            } else {
-                PartitionMode::StreamMasking
-            };
-            let limit = config
-                .policy
-                .overlap_limit(&config.topology)
-                .unwrap_or(config.topology.total_cus());
             let faults = config
                 .faults
                 .iter()
                 .find(|(g, _)| *g == gi)
                 .map(|(_, p)| p.clone())
                 .unwrap_or_default();
-            let mut rt = Runtime::new(RuntimeConfig {
-                topology: config.topology,
-                mode,
-                allocator: Box::new(KrispAllocator::new(limit)),
-                perfdb: Arc::clone(&shared_db),
-                seed: config.seed ^ (gi as u64) << 32,
-                jitter_sigma: 0.03,
-                faults: Arc::new(faults),
-                watchdog: config.watchdog,
-                ..RuntimeConfig::default()
-            });
-            let workers: Vec<GpuWorker> = traces
-                .iter()
-                .map(|t| GpuWorker {
-                    stream: rt.create_stream(),
-                    trace_len: t.len(),
-                    inflight: None,
-                    inflight_base: 0,
-                    launched_runs: 0,
-                    queue: config
-                        .queue_capacity
-                        .map_or_else(RequestQueue::new, RequestQueue::bounded),
-                    outstanding: 0,
-                })
-                .collect();
-            if let Some(masks) = &masks {
-                apply_masks(&mut rt, &workers, masks, &mut rob.errors);
-            }
-            let stream_to_worker = workers
-                .iter()
-                .enumerate()
-                .map(|(i, w)| (w.stream, i))
-                .collect();
+            let bus = obs.bus.for_worker(gi as u32);
+            let (rt, workers, errors) = plan.bring_up(
+                RuntimeConfig {
+                    topology: config.topology,
+                    perfdb: Arc::clone(&shared_db),
+                    seed: config.seed ^ (gi as u64) << 32,
+                    jitter_sigma: 0.03,
+                    faults: Arc::new(faults),
+                    watchdog: config.watchdog,
+                    ..RuntimeConfig::default()
+                },
+                |_| bus.clone(),
+            );
+            rob.errors.extend(error_texts(errors));
             Gpu {
                 rt,
                 workers,
-                stream_to_worker,
                 health: GpuHealth::Healthy,
                 failures: 0,
                 tripped: false,
-                bus: obs.bus.for_worker(gi as u32),
+                bus,
             }
         })
         .collect();
@@ -456,8 +385,7 @@ pub fn run_cluster_observed(
         config,
         per_gpu: vec![0usize; config.gpus],
         gpus,
-        masks,
-        traces,
+        plan,
         rob,
         rr_next: 0,
         latencies_ms: Vec::new(),
@@ -473,39 +401,9 @@ pub fn run_cluster_observed(
     result::finish(engine)
 }
 
-/// The stream masks a policy pins at startup (`None` for kernel-scoped
-/// and MPS-default policies).
-fn policy_masks(config: &ClusterConfig) -> Option<Vec<CuMask>> {
-    match config.policy {
-        Policy::StaticEqual => Some(krisp::static_equal_masks(
-            config.models.len(),
-            &config.topology,
-        )),
-        Policy::ModelRightSize => {
-            let sizes: Vec<u16> = config
-                .models
-                .iter()
-                .map(|&m| crate::experiment::model_right_size(m, config.batch, &config.topology))
-                .collect();
-            Some(krisp::prior_work_partitions(&sizes, &config.topology))
-        }
-        _ => None,
-    }
-}
-
-/// Applies (or re-warms) the pinned stream masks, recording failures as
-/// typed errors instead of panicking.
-pub(super) fn apply_masks(
-    rt: &mut Runtime,
-    workers: &[GpuWorker],
-    masks: &[CuMask],
-    errors: &mut Vec<String>,
-) {
-    for (w, mask) in workers.iter().zip(masks) {
-        if let Err(e) = rt.set_stream_mask(w.stream, *mask) {
-            errors.push(KrispError::from(e).to_string());
-        }
-    }
+/// The cluster's text for mask rejections.
+pub(super) fn error_texts(errors: Vec<MachineError>) -> impl Iterator<Item = String> {
+    errors.into_iter().map(|e| KrispError::from(e).to_string())
 }
 
 /// Least-outstanding routing over the routable GPUs; ties resolve to
@@ -517,14 +415,14 @@ pub(super) fn route_least_outstanding(
 ) -> Option<usize> {
     (0..gpus.len())
         .filter(|&g| Some(g) != exclude && gpus[g].routable())
-        .min_by_key(|&g| gpus[g].workers[mi].outstanding)
+        .min_by_key(|&g| gpus[g].workers[mi].outstanding())
 }
 
 /// Enqueues at a specific GPU and schedules the deferred start on the
 /// GPU's own timeline. Returns false when the bounded queue shed the
 /// request (the queue's own shed counter is aggregated at the end of
 /// the run — the single source of truth for capacity sheds).
-pub(super) fn enqueue(gpu: &mut Gpu, mi: usize, req: QueuedReq, now: SimTime) -> bool {
+pub(super) fn enqueue(gpu: &mut Gpu, mi: usize, req: InferenceRequest, now: SimTime) -> bool {
     let w = &mut gpu.workers[mi];
     let id = req.id;
     if w.queue.push(req).is_err() {
@@ -535,8 +433,7 @@ pub(super) fn enqueue(gpu: &mut Gpu, mi: usize, req: QueuedReq, now: SimTime) ->
         });
         return false;
     }
-    w.outstanding += 1;
-    if w.inflight.is_none() && gpu.health != GpuHealth::Restarting {
+    if !w.busy() && gpu.health != GpuHealth::Restarting {
         // Defer the actual launch into the GPU's own timeline.
         let delay = now.saturating_since(gpu.rt.now());
         gpu.rt.add_timer(delay, mi as u64);
@@ -547,18 +444,16 @@ pub(super) fn enqueue(gpu: &mut Gpu, mi: usize, req: QueuedReq, now: SimTime) ->
 /// Starts the worker's next viable request: copies that already lost a
 /// hedge race are cancelled, expired ones are retried on another GPU
 /// (once) or dropped; `Restarting` GPUs never start.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn try_start(
     gpus: &mut [Gpu],
     gi: usize,
     mi: usize,
     now: SimTime,
     config: &ClusterConfig,
-    traces: &[Vec<KernelDesc>],
     rob: &mut ClusterRobustness,
     hedge: &mut HedgeState,
 ) {
-    if gpus[gi].workers[mi].inflight.is_some() || gpus[gi].health == GpuHealth::Restarting {
+    if gpus[gi].workers[mi].busy() || gpus[gi].health == GpuHealth::Restarting {
         return;
     }
     loop {
@@ -568,24 +463,15 @@ pub(super) fn try_start(
         if hedge.done.contains(&req.id) {
             // A copy whose request was already settled elsewhere:
             // first-wins cancel, no counter moves.
-            gpus[gi].workers[mi].outstanding -= 1;
             continue;
         }
-        let waited = now.saturating_since(req.enqueued);
+        let waited = now.saturating_since(req.enqueued_at);
         if config.deadline.is_some_and(|d| waited > d) {
-            gpus[gi].workers[mi].outstanding -= 1;
             retry_or_drop(gpus, gi, mi, req, now, rob, hedge);
             continue;
         }
-        let w = &mut gpus[gi].workers[mi];
-        let base = w.launched_runs * w.trace_len as u64;
-        w.launched_runs += 1;
-        w.inflight_base = base;
-        w.inflight = Some(req);
-        let stream = w.stream;
-        for (i, k) in traces[mi].iter().enumerate() {
-            gpus[gi].rt.launch(stream, k.clone(), base + i as u64);
-        }
+        let gpu = &mut gpus[gi];
+        gpu.workers[mi].start_inference(&mut gpu.rt, req);
         return;
     }
 }
@@ -594,12 +480,11 @@ pub(super) fn try_start(
 /// request only gets one move before it is dropped. The retry target
 /// must have queue room — a retry never sheds, so the capacity-shed
 /// counter stays a pure arrival count.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn retry_or_drop(
     gpus: &mut [Gpu],
     from: usize,
     mi: usize,
-    mut req: QueuedReq,
+    mut req: InferenceRequest,
     now: SimTime,
     rob: &mut ClusterRobustness,
     hedge: &mut HedgeState,
@@ -634,6 +519,6 @@ pub(super) fn retry_or_drop(
             to_gpu: to as u32,
         });
     req.retried = true;
-    req.enqueued = now; // fresh deadline budget on the new GPU
+    req.enqueued_at = now; // fresh deadline budget on the new GPU
     enqueue(&mut gpus[to], mi, req, now);
 }

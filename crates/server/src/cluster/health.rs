@@ -2,12 +2,14 @@
 //! restart, and scripted crashes.
 
 use krisp_obs::EventKind;
-use krisp_sim::{CuMask, KernelDesc, SimDuration, SimTime};
+use krisp_serve_core::Worker;
+use krisp_sim::{SimDuration, SimTime};
 
 use super::config::{ClusterConfig, CrashScript};
-use super::drive::{apply_masks, retry_or_drop, try_start, Gpu, TOKEN_RESTART};
+use super::drive::{error_texts, retry_or_drop, try_start, Gpu, TOKEN_RESTART};
 use super::hedge::HedgeState;
 use super::result::ClusterRobustness;
+use crate::gpu::GpuPlan;
 
 /// Per-GPU serving health, from the router's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +98,6 @@ pub(super) fn redistribute_backlog(
 ) {
     for mi in 0..gpus[gi].workers.len() {
         while let Some(req) = gpus[gi].workers[mi].queue.pop() {
-            gpus[gi].workers[mi].outstanding -= 1;
             if hedge.done.contains(&req.id) {
                 continue; // a copy that already lost its race
             }
@@ -108,7 +109,7 @@ pub(super) fn redistribute_backlog(
 /// A draining GPU whose last in-flight request finished goes down for
 /// the breaker's restart period.
 pub(super) fn maybe_begin_restart(gpu: &mut Gpu, gi: usize, now: SimTime, config: &ClusterConfig) {
-    if gpu.health != GpuHealth::Draining || gpu.workers.iter().any(|w| w.inflight.is_some()) {
+    if gpu.health != GpuHealth::Draining || gpu.workers.iter().any(Worker::busy) {
         return;
     }
     let restart = config.breaker.map(|b| b.restart).unwrap_or_default();
@@ -129,10 +130,9 @@ pub(super) fn apply_crash(
     rob.crashes += 1;
     gpus[gi].set_health(GpuHealth::Restarting, gi, crash.at);
     for w in &mut gpus[gi].workers {
-        if let Some(req) = w.inflight.take() {
-            // The kernels keep draining in the dead GPU's simulation, but
-            // the run is discarded: its completion must not be counted.
-            w.outstanding -= 1;
+        // The kernels keep draining in the dead GPU's simulation, but the
+        // run is discarded: its completion must not be counted.
+        for req in w.discard_run() {
             if hedge.settle_negative(req.id) {
                 rob.failed_requests += 1;
             }
@@ -145,23 +145,18 @@ pub(super) fn apply_crash(
 
 /// Restart complete: re-warm the pinned stream masks, reset the breaker,
 /// and resume serving anything that queued up during the fallback.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn finish_restart(
     gpus: &mut [Gpu],
     gi: usize,
     now: SimTime,
     config: &ClusterConfig,
-    masks: &Option<Vec<CuMask>>,
-    traces: &[Vec<KernelDesc>],
+    plan: &GpuPlan,
     rob: &mut ClusterRobustness,
     hedge: &mut HedgeState,
 ) {
-    if let Some(masks) = masks {
-        let gpu = &mut gpus[gi];
-        let mut errors = Vec::new();
-        apply_masks(&mut gpu.rt, &gpu.workers, masks, &mut errors);
-        rob.errors.append(&mut errors);
-    }
+    let gpu = &mut gpus[gi];
+    rob.errors
+        .extend(error_texts(plan.pin_masks(&mut gpu.rt, &gpu.workers)));
     gpus[gi].failures = 0;
     if gpus[gi].tripped {
         gpus[gi].tripped = false;
@@ -173,6 +168,6 @@ pub(super) fn finish_restart(
     }
     gpus[gi].set_health(GpuHealth::Healthy, gi, now);
     for mi in 0..gpus[gi].workers.len() {
-        try_start(gpus, gi, mi, now, config, traces, rob, hedge);
+        try_start(gpus, gi, mi, now, config, rob, hedge);
     }
 }

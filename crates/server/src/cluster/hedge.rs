@@ -4,9 +4,10 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use krisp_obs::EventKind;
+use krisp_serve_core::InferenceRequest;
 use krisp_sim::{SimDuration, SimTime};
 
-use super::drive::{enqueue, route_least_outstanding, Gpu, QueuedReq};
+use super::drive::{enqueue, route_least_outstanding, Gpu};
 use super::result::ClusterRobustness;
 
 /// Hedged dispatch of straggling requests.
@@ -71,20 +72,20 @@ impl HedgeState {
     }
 }
 
-/// A hedge timer fired: if the request is still unresolved, dispatch a
-/// second copy to the best other healthy GPU with queue room. The copy
-/// carries `retried: true` so it can never fan out further.
-#[allow(clippy::too_many_arguments)]
+/// A hedge timer fired for `req` (model index `mi`, first routed to
+/// `primary`): if the request is still unresolved, dispatch a second copy
+/// to the best other healthy GPU with queue room. The copy carries
+/// `retried: true` so it can never fan out further.
 pub(super) fn fire_hedge(
     gpus: &mut [Gpu],
-    id: u64,
+    req: InferenceRequest,
     mi: usize,
     primary: usize,
-    arrival: SimTime,
     now: SimTime,
     rob: &mut ClusterRobustness,
     hedge: &mut HedgeState,
 ) {
+    let id = req.id;
     if hedge.done.contains(&id) {
         return; // already settled: nothing to protect
     }
@@ -106,11 +107,10 @@ pub(super) fn fire_hedge(
             request_id: id,
             to_gpu: to as u32,
         });
-    let copy = QueuedReq {
-        id,
-        arrival,
-        enqueued: now,
+    let copy = InferenceRequest {
+        enqueued_at: now,
         retried: true,
+        ..req
     };
     enqueue(&mut gpus[to], mi, copy, now);
 }

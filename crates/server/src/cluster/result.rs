@@ -106,7 +106,7 @@ pub(super) fn finish(mut engine: ClusterEngine<'_>) -> ClusterResult {
     let mut seen = HashSet::new();
     let mut leftover = 0u64;
     for w in engine.gpus.iter().flat_map(|g| &g.workers) {
-        for req in w.queue.iter().chain(w.inflight.iter()) {
+        for req in w.queue.iter().chain(w.inflight().iter()) {
             if !engine.hedge.done.contains(&req.id) && seen.insert(req.id) {
                 leftover += 1;
             }

@@ -2,10 +2,10 @@
 
 use krisp::{DistributionPolicy, Policy};
 use krisp_models::{paper_profile, ModelKind};
-use krisp_runtime::{EmulationCosts, WatchdogConfig};
+use krisp_runtime::WatchdogConfig;
 use krisp_sim::{DispatchCosts, FaultPlan, GpuTopology, SimDuration};
 
-use crate::sentinel::SentinelConfig;
+use krisp_serve_core::SentinelConfig;
 
 pub use krisp_serve_core::arrival::Arrival;
 
@@ -23,18 +23,6 @@ pub enum RightSizeSource {
     ModelWise,
 }
 
-/// How KRISP's kernel-scoped partitions are realized for the KRISP
-/// policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KrispEnforcement {
-    /// Proposed hardware support (partition size in the AQL packet,
-    /// 1 µs mask generation in the packet processor).
-    Native,
-    /// The paper's emulation on stream-scoped CU masking, with its
-    /// barrier/callback/IOCTL overheads.
-    Emulated(EmulationCosts),
-}
-
 /// Full description of one server experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
@@ -46,8 +34,6 @@ pub struct ServerConfig {
     pub batch: u32,
     /// Arrival process.
     pub arrival: Arrival,
-    /// KRISP enforcement path (ignored for non-KRISP policies).
-    pub enforcement: KrispEnforcement,
     /// Where KRISP kernels' partition sizes come from (ignored for
     /// non-KRISP policies).
     pub right_size_source: RightSizeSource,
@@ -105,7 +91,6 @@ impl ServerConfig {
             models,
             batch,
             arrival: Arrival::ClosedLoop,
-            enforcement: KrispEnforcement::Native,
             right_size_source: RightSizeSource::KernelWise,
             costs: DispatchCosts::default(),
             overlap_limit: None,

@@ -1,31 +1,30 @@
-//! The single-GPU dispatcher: one runtime machine driven through
-//! [`krisp_serve_core::engine::drive`].
+//! The single-GPU server: one runtime, its workers, and the handler for
+//! every runtime event.
 //!
-//! The server schedules its open-loop arrivals as runtime timers (so
+//! The server schedules its open-loop arrivals as runtime timers, so
 //! they interleave with kernel completions under the machine's own
-//! deterministic tie-breaks), which makes its [`Dispatcher`] the trivial
-//! one: no control events, no external arrivals — just device events
-//! stepped until the machine drains.
+//! deterministic tie-breaks, and the event loop is just stepping that
+//! runtime until it drains. Arrivals stay timers on purpose: the
+//! machine integrates energy, busy and service time over each event
+//! interval, and every arrival timer splits an interval, so moving
+//! arrivals off the machine's timeline would change the bits of
+//! `energy_j` and of completion times.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use krisp::{
-    prior_work_partitions, static_equal_masks, InstrumentedAllocator, KrispAllocator, Policy,
-};
-use krisp_models::{generate_trace, ModelKind, TraceConfig};
+use krisp_models::{generate_trace, TraceConfig};
 use krisp_obs::{EventKind, Obs};
-use krisp_runtime::{PartitionMode, RequiredCusTable, RtEvent, Runtime, RuntimeConfig, StreamId};
-use krisp_serve_core::engine::{drive, Dispatcher, ExternalArrival};
-use krisp_serve_core::{exp_sample, AdmissionChain, InferenceRequest, Worker};
-use krisp_sim::{KernelDesc, MaskAllocator, SimTime};
+use krisp_runtime::{RequiredCusTable, RtEvent, Runtime, RuntimeConfig};
+use krisp_serve_core::{exp_sample, worker_on, AdmissionChain, RequestQueue, Worker};
+use krisp_sim::SimTime;
 
-use super::config::{Arrival, KrispEnforcement, RightSizeSource, ServerConfig};
+use super::config::{Arrival, RightSizeSource, ServerConfig};
 use super::perfdb::model_right_size;
 use super::result;
+use crate::gpu::{pin, GpuPlan};
 use crate::metrics::ExperimentResult;
 
 pub(super) const TOKEN_WARM: u64 = 0x7000_0000_0000_0001;
@@ -42,7 +41,6 @@ pub(super) struct ServerEngine<'a> {
     pub(super) obs: Obs,
     pub(super) rt: Runtime,
     pub(super) workers: Vec<Worker>,
-    pub(super) stream_to_worker: HashMap<StreamId, usize>,
     pub(super) chain: AdmissionChain,
     pub(super) deadline_ms: Option<f64>,
     pub(super) arrivals: StdRng,
@@ -58,34 +56,6 @@ pub(super) struct ServerEngine<'a> {
     pub(super) flow_shed_admission: u64,
 }
 
-impl Dispatcher for ServerEngine<'_> {
-    fn next_control_at(&self) -> Option<SimTime> {
-        None
-    }
-
-    fn step_control(&mut self) {
-        unreachable!("the single-GPU server has no control events");
-    }
-
-    fn next_device_at(&self) -> Option<SimTime> {
-        self.rt.next_event_at()
-    }
-
-    fn step_device(&mut self) -> bool {
-        match self.rt.step() {
-            Some(ev) => {
-                self.handle(ev);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn on_arrival(&mut self, _arrival: ExternalArrival) {
-        unreachable!("single-GPU arrivals are runtime timers, not external events");
-    }
-}
-
 impl ServerEngine<'_> {
     /// Handles one runtime event: measurement snapshots, arrival and
     /// batch timers, and kernel completions/failures.
@@ -97,7 +67,6 @@ impl ServerEngine<'_> {
             obs,
             rt,
             workers,
-            stream_to_worker,
             chain,
             arrivals,
             energy_at_warm,
@@ -138,32 +107,28 @@ impl ServerEngine<'_> {
                 }
             }
             RtEvent::TimerFired { token, at } if token >= TOKEN_START_BASE => {
-                let wi = (token - TOKEN_START_BASE) as usize;
-                workers[wi].start_inference(rt, at);
+                let w = &mut workers[(token - TOKEN_START_BASE) as usize];
+                let req = w.new_request(config.batch, at);
+                w.start_inference(rt, req);
             }
             RtEvent::TimerFired { token, at } if token >= TOKEN_ARRIVAL_BASE => {
                 let wi = (token - TOKEN_ARRIVAL_BASE) as usize;
                 match config.arrival {
                     Arrival::ClosedLoop => unreachable!("no arrival timers in closed loop"),
                     Arrival::Poisson { rps_per_worker } => {
-                        let (model, batch, id) = {
-                            let w = &mut workers[wi];
-                            let id = w.next_request_id;
-                            w.next_request_id += 1;
-                            (w.model, config.batch, id)
-                        };
+                        let req = workers[wi].new_request(config.batch, at);
                         *flow_arrivals += 1;
                         // Guardrails 1+2 compose in the admission chain:
                         // Shed-state policy (no token burned on a Shed
                         // rejection), then the token-bucket rate cap.
                         let depth = workers[wi].queue.len();
-                        if !chain.admit(wi, at, depth, workers[wi].busy) {
+                        if !chain.admit(wi, at, depth, workers[wi].busy()) {
                             *flow_shed_admission += 1;
                             let depth = workers[wi].queue.len() as u32;
                             workers[wi]
                                 .bus
                                 .emit(at.as_nanos(), || EventKind::RequestShed {
-                                    request_id: id,
+                                    request_id: req.id,
                                     depth,
                                 });
                             if obs.metrics.enabled() {
@@ -179,25 +144,17 @@ impl ServerEngine<'_> {
                             }
                             return;
                         }
-                        let accepted = workers[wi]
-                            .queue
-                            .push(InferenceRequest {
-                                id,
-                                model,
-                                batch,
-                                enqueued_at: at,
-                            })
-                            .is_ok();
+                        let accepted = workers[wi].queue.push(req).is_ok();
                         if accepted {
                             *flow_admitted += 1;
                             workers[wi]
                                 .bus
                                 .emit(at.as_nanos(), || EventKind::RequestEnqueued {
-                                    request_id: id,
+                                    request_id: req.id,
                                 });
-                            if !workers[wi].busy {
+                            if !workers[wi].busy() {
                                 if let Some(req) = workers[wi].pop_runnable(at, config.deadline) {
-                                    workers[wi].start_inference(rt, req.enqueued_at);
+                                    workers[wi].start_inference(rt, req);
                                 }
                             }
                         } else {
@@ -205,7 +162,7 @@ impl ServerEngine<'_> {
                             workers[wi]
                                 .bus
                                 .emit(at.as_nanos(), || EventKind::RequestShed {
-                                    request_id: id,
+                                    request_id: req.id,
                                     depth,
                                 });
                             if obs.metrics.enabled() {
@@ -233,18 +190,16 @@ impl ServerEngine<'_> {
                         max_batch,
                         batch_timeout,
                     } => {
-                        let sample_id = workers[wi].next_request_id;
-                        workers[wi].next_request_id += 1;
+                        let w = &mut workers[wi];
+                        let sample = w.new_request(1, at);
                         *flow_arrivals += 1;
                         *flow_admitted += 1;
-                        workers[wi].sample_queue.push_back(at);
-                        workers[wi]
-                            .bus
-                            .emit(at.as_nanos(), || EventKind::RequestEnqueued {
-                                request_id: sample_id,
-                            });
-                        workers[wi].try_form_batch(rt, at, max_batch, batch_timeout);
-                        if !workers[wi].sample_queue.is_empty() {
+                        w.sample_queue.push_back(sample);
+                        w.bus.emit(at.as_nanos(), || EventKind::RequestEnqueued {
+                            request_id: sample.id,
+                        });
+                        w.try_form_batch(rt, at, max_batch, batch_timeout);
+                        if !w.sample_queue.is_empty() {
                             // Guarantee eventual formation even if no more
                             // samples arrive (stale timers are harmless).
                             rt.add_timer(batch_timeout, TOKEN_BATCH_BASE + wi as u64);
@@ -257,70 +212,52 @@ impl ServerEngine<'_> {
                 }
             }
             RtEvent::KernelCompleted { stream, tag, at } => {
-                let wi = stream_to_worker[&stream];
-                if workers[wi].busy && tag + 1 == workers[wi].inflight_kernels as u64 {
-                    let w = &mut workers[wi];
-                    let model_name = w.model.name();
-                    for start in std::mem::take(&mut w.inflight_starts) {
-                        let latency_ms = at.saturating_since(start).as_millis_f64();
-                        let request_id = w.records.len() as u64;
-                        w.bus.emit(at.as_nanos(), || EventKind::RequestDone {
-                            request_id,
-                            start_ns: start.as_nanos(),
-                        });
-                        if obs.metrics.enabled() {
-                            let worker_label = wi.to_string();
-                            let labels = [("model", model_name), ("worker", &worker_label)];
-                            obs.metrics.inc("krisp_requests_total", &labels, 1);
-                            obs.metrics
-                                .observe("krisp_request_latency_ms", &labels, latency_ms);
-                        }
-                        w.records.push((at, latency_ms));
-                        // Feed the brownout controller one headroom sample
-                        // per completion; a transition re-sizes the whole
-                        // runtime's masks (Normal → exact right-sizing,
-                        // Brownout → widened, Shed → full device).
-                        if let (Some(ctl), Some(dl)) = (chain.brownout.as_mut(), deadline_ms) {
-                            if let Some((from, to)) = ctl.observe(latency_ms / dl) {
-                                let p95_pct = (ctl.p95_ratio() * 100.0) as u32;
-                                rt.set_mask_widening(ctl.widening());
-                                w.bus.emit(at.as_nanos(), || EventKind::SentinelTransition {
-                                    from: from.code(),
-                                    to: to.code(),
-                                    p95_pct,
-                                });
-                                if obs.metrics.enabled() {
-                                    obs.metrics.inc("krisp_sentinel_transitions_total", &[], 1);
-                                    obs.metrics.set_gauge(
-                                        "krisp_sentinel_state",
-                                        &[],
-                                        f64::from(to.code()),
-                                    );
-                                }
-                            }
-                        }
+                let wi = worker_on(workers, stream);
+                let w = &mut workers[wi];
+                let Some(done) = w.end_run(tag) else {
+                    return;
+                };
+                let model_name = w.model.name();
+                for req in done {
+                    let latency_ms = at.saturating_since(req.arrival).as_millis_f64();
+                    let request_id = w.records.len() as u64;
+                    w.bus.emit(at.as_nanos(), || EventKind::RequestDone {
+                        request_id,
+                        start_ns: req.arrival.as_nanos(),
+                    });
+                    if obs.metrics.enabled() {
+                        let worker_label = wi.to_string();
+                        let labels = [("model", model_name), ("worker", &worker_label)];
+                        obs.metrics.inc("krisp_requests_total", &labels, 1);
+                        obs.metrics
+                            .observe("krisp_request_latency_ms", &labels, latency_ms);
                     }
-                    w.busy = false;
-                    match config.arrival {
-                        Arrival::ClosedLoop => {
-                            if at < end {
-                                w.start_inference(rt, at);
+                    w.records.push((at, latency_ms));
+                    // Feed the brownout controller one headroom sample
+                    // per completion; a transition re-sizes the whole
+                    // runtime's masks (Normal → exact right-sizing,
+                    // Brownout → widened, Shed → full device).
+                    if let (Some(ctl), Some(dl)) = (chain.brownout.as_mut(), deadline_ms) {
+                        if let Some((from, to)) = ctl.observe(latency_ms / dl) {
+                            let p95_pct = (ctl.p95_ratio() * 100.0) as u32;
+                            rt.set_mask_widening(ctl.widening());
+                            w.bus.emit(at.as_nanos(), || EventKind::SentinelTransition {
+                                from: from.code(),
+                                to: to.code(),
+                                p95_pct,
+                            });
+                            if obs.metrics.enabled() {
+                                obs.metrics.inc("krisp_sentinel_transitions_total", &[], 1);
+                                obs.metrics.set_gauge(
+                                    "krisp_sentinel_state",
+                                    &[],
+                                    f64::from(to.code()),
+                                );
                             }
-                        }
-                        Arrival::Poisson { .. } => {
-                            if let Some(req) = w.pop_runnable(at, config.deadline) {
-                                w.start_inference(rt, req.enqueued_at);
-                            }
-                        }
-                        Arrival::OpenBatched {
-                            max_batch,
-                            batch_timeout,
-                            ..
-                        } => {
-                            w.try_form_batch(rt, at, max_batch, batch_timeout);
                         }
                     }
                 }
+                start_next(w, rt, config, at, end);
             }
             RtEvent::KernelFailed {
                 stream, tag, at, ..
@@ -330,36 +267,41 @@ impl ServerEngine<'_> {
                 // queue was released), so only a *final* kernel's failure
                 // loses the request — the worker then moves on instead of
                 // waiting forever for a completion that cannot come.
-                let wi = stream_to_worker[&stream];
+                let wi = worker_on(workers, stream);
                 let w = &mut workers[wi];
                 w.failed_kernels += 1;
-                if w.busy && tag + 1 == w.inflight_kernels as u64 {
-                    w.failed_requests += w.inflight_starts.len() as u64;
-                    w.inflight_starts.clear();
-                    w.busy = false;
-                    match config.arrival {
-                        Arrival::ClosedLoop => {
-                            if at < end {
-                                w.start_inference(rt, at);
-                            }
-                        }
-                        Arrival::Poisson { .. } => {
-                            if let Some(req) = w.pop_runnable(at, config.deadline) {
-                                w.start_inference(rt, req.enqueued_at);
-                            }
-                        }
-                        Arrival::OpenBatched {
-                            max_batch,
-                            batch_timeout,
-                            ..
-                        } => {
-                            w.try_form_batch(rt, at, max_batch, batch_timeout);
-                        }
-                    }
+                if let Some(lost) = w.end_run(tag) {
+                    w.failed_requests += lost.len() as u64;
+                    start_next(w, rt, config, at, end);
                 }
             }
             _ => {}
         }
+    }
+}
+
+/// Starts `w`'s next run once its previous one ended at `at`: the closed
+/// loop issues a fresh request until the window ends, Poisson serves
+/// the next runnable queued request, and dynamic batching forms a batch
+/// if one is due.
+fn start_next(w: &mut Worker, rt: &mut Runtime, config: &ServerConfig, at: SimTime, end: SimTime) {
+    match config.arrival {
+        Arrival::ClosedLoop => {
+            if at < end {
+                let req = w.new_request(config.batch, at);
+                w.start_inference(rt, req);
+            }
+        }
+        Arrival::Poisson { .. } => {
+            if let Some(req) = w.pop_runnable(at, config.deadline) {
+                w.start_inference(rt, req);
+            }
+        }
+        Arrival::OpenBatched {
+            max_batch,
+            batch_timeout,
+            ..
+        } => w.try_form_batch(rt, at, max_batch, batch_timeout),
     }
 }
 
@@ -380,7 +322,7 @@ pub fn run_server(config: &ServerConfig, perfdb: &RequiredCusTable) -> Experimen
 /// on `obs.bus` (one logical track per worker), the machine's kernel and
 /// mask events ride the same bus, and the metrics registry accumulates
 /// request-latency histograms, queue-depth gauges and the
-/// `krisp_mask_generation_ns` histogram (via [`InstrumentedAllocator`]
+/// `krisp_mask_generation_ns` histogram (via [`krisp::InstrumentedAllocator`]
 /// around the policy's allocator).
 ///
 /// Passing [`Obs::disabled`] makes this identical to [`run_server`].
@@ -399,19 +341,7 @@ pub fn run_server_observed(
     let (warmup, duration) = config.windows();
     let end = SimTime::ZERO + warmup + duration;
 
-    // --- Runtime under the requested policy ---------------------------
-    let mode = if config.policy.is_kernel_scoped() {
-        match config.enforcement {
-            KrispEnforcement::Native => PartitionMode::KernelScopedNative,
-            KrispEnforcement::Emulated(costs) => PartitionMode::KernelScopedEmulated(costs),
-        }
-    } else {
-        PartitionMode::StreamMasking
-    };
-    let limit = config
-        .overlap_limit
-        .or_else(|| config.policy.overlap_limit(&topo))
-        .unwrap_or(topo.total_cus());
+    // --- The GPU under the requested policy ---------------------------
     // The ModelWise ablation rewrites the table so every kernel requests
     // its model's kneepoint (prior works' metric on KRISP's mechanism).
     let trace_cfg = TraceConfig {
@@ -434,102 +364,45 @@ pub fn run_server_observed(
             Arc::new(db)
         }
     };
-    let krisp_alloc = KrispAllocator::new(limit).with_distribution(config.allocator_distribution);
-    let allocator: Box<dyn MaskAllocator> = if obs.metrics.enabled() {
-        Box::new(InstrumentedAllocator::new(krisp_alloc, obs.metrics.clone()))
-    } else {
-        Box::new(krisp_alloc)
+    let queue = config
+        .queue_capacity
+        .map_or_else(RequestQueue::new, RequestQueue::bounded);
+    let queue = match config.sentinel.as_ref().and_then(|s| s.codel) {
+        Some(c) => queue.with_codel(c),
+        None => queue,
     };
-    let mut rt = Runtime::new(RuntimeConfig {
-        topology: topo,
-        costs: config.costs,
-        mode,
-        allocator,
-        perfdb: effective_db,
-        seed: config.seed,
-        jitter_sigma: config.jitter_sigma,
-        sharing_penalty: config.sharing_penalty,
-        obs: obs.clone(),
-        faults: Arc::new(config.faults.clone()),
-        watchdog: config.watchdog,
-        retry_budget: config.sentinel.as_ref().and_then(|s| s.retry_budget),
-        ..RuntimeConfig::default()
-    });
-
-    // --- Sentinel guardrails ------------------------------------------
-    let chain = AdmissionChain::new(config.sentinel.as_ref(), config.models.len());
-    let codel_cfg = config.sentinel.as_ref().and_then(|s| s.codel);
-    let deadline_ms = config.deadline.map(|d| d.as_millis_f64());
-
-    // --- Workers and their stream masks -------------------------------
-    // Same-model workers share one kernel trace through an Arc instead
-    // of carrying per-worker copies.
-    let mut trace_cache: HashMap<ModelKind, Arc<Vec<KernelDesc>>> = HashMap::new();
-    let mut workers: Vec<Worker> = config
-        .models
-        .iter()
-        .enumerate()
-        .map(|(i, &model)| {
-            let trace = Arc::clone(
-                trace_cache
-                    .entry(model)
-                    .or_insert_with(|| Arc::new(generate_trace(model, &trace_cfg))),
-            );
-            let queue = {
-                let q = config.queue_capacity.map_or_else(
-                    krisp_serve_core::RequestQueue::new,
-                    krisp_serve_core::RequestQueue::bounded,
-                );
-                match codel_cfg {
-                    Some(c) => q.with_codel(c),
-                    None => q,
-                }
-            };
-            Worker::new(
-                rt.create_stream(),
-                model,
-                trace,
-                trace_cfg.launch_overhead,
-                queue,
-                obs.bus.for_worker(i as u32),
-            )
-        })
-        .collect();
-    let masks = match config.policy {
-        Policy::MpsDefault | Policy::KrispO | Policy::KrispI => None,
-        Policy::StaticEqual => Some(static_equal_masks(workers.len(), &topo)),
-        Policy::ModelRightSize => {
-            let sizes: Vec<u16> = config
-                .models
-                .iter()
-                .map(|&m| model_right_size(m, config.batch, &topo))
-                .collect();
-            Some(prior_work_partitions(&sizes, &topo))
-        }
-    };
-    // A rejected mask degrades that worker to the full device instead of
-    // killing the run; the error is recorded in the result's books.
-    let mut setup_errors: Vec<String> = Vec::new();
-    if let Some(masks) = masks {
-        for (w, mask) in workers.iter().zip(masks) {
-            if let Err(e) = rt.set_stream_mask(w.stream, mask) {
-                setup_errors.push(e.to_string());
-            }
-        }
-    }
+    let plan = GpuPlan::new(
+        config.policy,
+        &config.models,
+        &trace_cfg,
+        &topo,
+        config.overlap_limit,
+        config.allocator_distribution,
+        queue,
+    );
+    let (mut rt, mut workers, mut mask_errors) = plan.bring_up(
+        RuntimeConfig {
+            topology: topo,
+            costs: config.costs,
+            perfdb: effective_db,
+            seed: config.seed,
+            jitter_sigma: config.jitter_sigma,
+            sharing_penalty: config.sharing_penalty,
+            obs: obs.clone(),
+            faults: Arc::new(config.faults.clone()),
+            watchdog: config.watchdog,
+            retry_budget: config.sentinel.as_ref().and_then(|s| s.retry_budget),
+            ..RuntimeConfig::default()
+        },
+        |i| obs.bus.for_worker(i as u32),
+    );
     if let Some(n) = config.cu_restriction {
         let mask = krisp::select_cus(krisp::DistributionPolicy::Conserved, n, &topo);
-        for w in &workers {
-            if let Err(e) = rt.set_stream_mask(w.stream, mask) {
-                setup_errors.push(e.to_string());
-            }
-        }
+        mask_errors.extend(pin(&mut rt, &workers, std::iter::repeat(mask)));
     }
-    let stream_to_worker: HashMap<StreamId, usize> = workers
-        .iter()
-        .enumerate()
-        .map(|(i, w)| (w.stream, i))
-        .collect();
+    // A rejected mask degrades that worker to the full device instead of
+    // killing the run; the error is recorded in the result's books.
+    let setup_errors = mask_errors.iter().map(ToString::to_string).collect();
 
     // --- Arrival process ----------------------------------------------
     let mut arrivals = StdRng::seed_from_u64(config.seed ^ 0xA77A_1BAD);
@@ -543,7 +416,8 @@ pub fn run_server_observed(
             // exploits. The warmup window absorbs the transient.
             for (i, w) in workers.iter_mut().enumerate() {
                 if i == 0 {
-                    w.start_inference(&mut rt, SimTime::ZERO);
+                    let req = w.new_request(config.batch, SimTime::ZERO);
+                    w.start_inference(&mut rt, req);
                 } else {
                     let offset = warmup * i as u64 / (2 * config.models.len() as u64);
                     rt.add_timer(offset, TOKEN_START_BASE + i as u64);
@@ -578,16 +452,15 @@ pub fn run_server_observed(
     rt.add_timer(warmup + duration, TOKEN_END);
 
     // --- Event loop ----------------------------------------------------
-    // All arrivals ride runtime timers, so the shared loop sees only
-    // device events: no control source, no external arrival stream.
+    // Arrivals are timers on the one runtime, so stepping it until it
+    // drains is the whole loop.
     let mut engine = ServerEngine {
         config,
         obs,
         rt,
         workers,
-        stream_to_worker,
-        chain,
-        deadline_ms,
+        chain: AdmissionChain::new(config.sentinel.as_ref(), config.models.len()),
+        deadline_ms: config.deadline.map(|d| d.as_millis_f64()),
         arrivals,
         end,
         energy_at_warm: 0.0,
@@ -600,7 +473,9 @@ pub fn run_server_observed(
         flow_admitted: 0,
         flow_shed_admission: 0,
     };
-    drive(&mut engine, Vec::new());
+    while let Some(ev) = engine.rt.step() {
+        engine.handle(ev);
+    }
 
     result::finish(engine, warmup, duration, setup_errors)
 }

@@ -2,14 +2,13 @@
 //! drives the simulated server, and measures throughput / tail latency /
 //! energy inside a warmup-delimited window.
 //!
-//! Split by concern, with the event loop itself shared through
-//! [`krisp_serve_core::engine::drive`]:
+//! Split by concern, with the GPU bring-up and the workers shared with
+//! the cluster:
 //!
-//! - [`config`] — [`ServerConfig`] and the policy/enforcement knobs.
+//! - [`config`] — [`ServerConfig`] and its policy knobs.
 //! - [`perfdb`] — the oracle Required-CUs table and model-wise knees.
-//! - [`drive`] — the single-GPU dispatcher behind
-//!   [`krisp_serve_core::engine::Dispatcher`] and the
-//!   [`run_server`] / [`run_server_observed`] entry points.
+//! - [`drive`] — the runtime-event handler and the [`run_server`] /
+//!   [`run_server_observed`] entry points.
 //! - [`result`] — window filtering and conservation-book assembly into
 //!   [`crate::metrics::ExperimentResult`].
 
@@ -21,6 +20,6 @@ pub mod result;
 #[cfg(test)]
 mod tests;
 
-pub use config::{Arrival, KrispEnforcement, RightSizeSource, ServerConfig};
+pub use config::{Arrival, RightSizeSource, ServerConfig};
 pub use drive::{run_server, run_server_observed};
 pub use perfdb::{model_right_size, oracle_perfdb};

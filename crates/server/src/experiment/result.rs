@@ -8,7 +8,7 @@ use super::drive::ServerEngine;
 use crate::metrics::{
     ExperimentResult, FlowCounters, RobustnessCounters, SentinelCounters, WorkerResult,
 };
-use crate::sentinel::BrownoutController;
+use krisp_serve_core::BrownoutController;
 
 /// Consumes the driven engine and balances its books into an
 /// [`ExperimentResult`].
@@ -50,7 +50,7 @@ pub(super) fn finish(
     let completed: u64 = workers.iter().map(|w| w.records.len() as u64).sum();
     let in_flight_at_end: u64 = workers
         .iter()
-        .map(|w| (w.queue.len() + w.sample_queue.len() + w.inflight_starts.len()) as u64)
+        .map(|w| (w.queue.len() + w.sample_queue.len() + w.inflight().len()) as u64)
         .sum();
     let flow = match config.arrival {
         // The closed loop synthesizes a request exactly when it starts

@@ -333,7 +333,7 @@ fn inert_sentinel_is_bit_identical_to_none() {
         run_server(&cfg, &db)
     };
     let off = run(None);
-    let on = run(Some(crate::sentinel::SentinelConfig::default()));
+    let on = run(Some(krisp_serve_core::SentinelConfig::default()));
     assert_eq!(off.workers, on.workers);
     assert_eq!(off.flow, on.flow);
     assert_eq!(off.robustness, on.robustness);
@@ -345,12 +345,12 @@ fn admission_control_caps_overload_and_conserves_flow() {
     cfg.arrival = Arrival::Poisson {
         rps_per_worker: 400.0, // ~3x the model's ~125 rps capacity
     };
-    cfg.sentinel = Some(crate::sentinel::SentinelConfig {
-        admission: Some(crate::sentinel::TokenBucketConfig {
+    cfg.sentinel = Some(krisp_serve_core::SentinelConfig {
+        admission: Some(krisp_serve_core::TokenBucketConfig {
             rate_per_s: 100.0,
             burst: 5.0,
         }),
-        ..crate::sentinel::SentinelConfig::default()
+        ..krisp_serve_core::SentinelConfig::default()
     });
     cfg.warmup = Some(SimDuration::from_millis(40));
     cfg.duration = Some(SimDuration::from_secs(1));
@@ -375,12 +375,12 @@ fn codel_sheds_on_sojourn_and_conserves_flow() {
     cfg.arrival = Arrival::Poisson {
         rps_per_worker: 400.0,
     };
-    cfg.sentinel = Some(crate::sentinel::SentinelConfig {
+    cfg.sentinel = Some(krisp_serve_core::SentinelConfig {
         codel: Some(krisp_sim::CoDelConfig {
             target: SimDuration::from_millis(5),
             interval: SimDuration::from_millis(50),
         }),
-        ..crate::sentinel::SentinelConfig::default()
+        ..krisp_serve_core::SentinelConfig::default()
     });
     cfg.warmup = Some(SimDuration::from_millis(40));
     cfg.duration = Some(SimDuration::from_secs(1));
@@ -402,13 +402,13 @@ fn brownout_cycle_emits_golden_transition_sequence() {
         rps_per_worker: 400.0,
     };
     cfg.deadline = Some(SimDuration::from_millis(25));
-    cfg.sentinel = Some(crate::sentinel::SentinelConfig {
-        brownout: Some(crate::sentinel::BrownoutConfig {
+    cfg.sentinel = Some(krisp_serve_core::SentinelConfig {
+        brownout: Some(krisp_serve_core::BrownoutConfig {
             window: 16,
             min_samples: 8,
-            ..crate::sentinel::BrownoutConfig::default()
+            ..krisp_serve_core::BrownoutConfig::default()
         }),
-        ..crate::sentinel::SentinelConfig::default()
+        ..krisp_serve_core::SentinelConfig::default()
     });
     cfg.warmup = Some(SimDuration::from_millis(40));
     cfg.duration = Some(SimDuration::from_secs(2));

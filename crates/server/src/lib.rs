@@ -34,8 +34,8 @@ pub mod capacity;
 pub mod cluster;
 pub mod experiment;
 pub mod metrics;
-pub mod request;
-pub mod sentinel;
+
+mod gpu;
 
 pub use capacity::{plan_capacity, CapacityOptions, CapacityPlan};
 pub use cluster::{
@@ -43,14 +43,13 @@ pub use cluster::{
     ClusterRobustness, CrashScript, GpuHealth, HedgeConfig, Routing,
 };
 pub use experiment::{
-    model_right_size, oracle_perfdb, run_server, run_server_observed, Arrival, KrispEnforcement,
-    RightSizeSource, ServerConfig,
+    model_right_size, oracle_perfdb, run_server, run_server_observed, Arrival, RightSizeSource,
+    ServerConfig,
+};
+pub use krisp_serve_core::{
+    BrownoutConfig, BrownoutController, InferenceRequest, RequestQueue, SentinelConfig,
+    SentinelState, TokenBucket, TokenBucketConfig,
 };
 pub use metrics::{
     ExperimentResult, FlowCounters, RobustnessCounters, SentinelCounters, WorkerResult,
-};
-pub use request::{InferenceRequest, RequestQueue, Sojourn};
-pub use sentinel::{
-    BrownoutConfig, BrownoutController, SentinelConfig, SentinelState, TokenBucket,
-    TokenBucketConfig,
 };

@@ -141,3 +141,30 @@ fn golden_cluster_crash_hedge_deadline() {
     });
     check_golden("cluster_crash_hedge.json", &run_cluster(&cfg, &db));
 }
+
+/// Config 6: KRISP-I dynamic batching (open-loop samples formed into
+/// batches) through a straggler window with the watchdog armed — the
+/// batch-formation timers, per-batch traces, and the failed-final-kernel
+/// re-dispatch path.
+#[test]
+fn golden_open_batched_stragglers() {
+    let mut cfg = ServerConfig::closed_loop(Policy::KrispI, vec![ModelKind::Squeezenet; 2], 32);
+    cfg.arrival = Arrival::OpenBatched {
+        samples_per_s: 3000.0,
+        max_batch: 16,
+        batch_timeout: SimDuration::from_millis(4),
+    };
+    cfg.warmup = Some(SimDuration::from_millis(40));
+    cfg.duration = Some(SimDuration::from_millis(400));
+    cfg.watchdog = Some(WatchdogConfig::default());
+    cfg.faults = FaultPlan::new().straggle_all(
+        SimTime::ZERO + SimDuration::from_millis(150),
+        20.0,
+        SimDuration::from_millis(100),
+    );
+    let db = oracle(&cfg.models);
+    check_golden(
+        "server_open_batched_stragglers.json",
+        &run_server(&cfg, &db),
+    );
+}

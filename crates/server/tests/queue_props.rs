@@ -15,12 +15,7 @@ enum Action {
 }
 
 fn req(id: u64) -> InferenceRequest {
-    InferenceRequest {
-        id,
-        model: ModelKind::Albert,
-        batch: 32,
-        enqueued_at: SimTime::from_nanos(id),
-    }
+    InferenceRequest::new(id, ModelKind::Albert, 32, SimTime::from_nanos(id))
 }
 
 proptest! {

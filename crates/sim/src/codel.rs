@@ -32,15 +32,6 @@
 
 use crate::time::{SimDuration, SimTime};
 
-/// Anything with an enqueue timestamp, so sojourn-time control laws
-/// ([`CoDel`]) — and the serving queues built on top of them — can
-/// compute waiting times over any payload type (inference requests,
-/// cluster routing entries, …).
-pub trait Sojourn {
-    /// When the item entered the queue.
-    fn enqueued_at(&self) -> SimTime;
-}
-
 /// Tuning knobs of the CoDel control law.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoDelConfig {

@@ -69,7 +69,7 @@ pub mod wg_engine;
 mod kernel;
 
 pub use allocator::{FullMaskAllocator, MaskAllocator};
-pub use codel::{CoDel, CoDelConfig, Sojourn};
+pub use codel::{CoDel, CoDelConfig};
 pub use counters::CuKernelCounters;
 pub use engine::{Engine, KernelId};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};

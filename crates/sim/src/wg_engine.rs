@@ -12,7 +12,7 @@
 //! staircase `ceil(share/cus) * work / P` that discretization implies —
 //! which brackets the fluid model's `work / n` from above.
 //!
-//! The cross-validation tests (and `crates/bench/src/bin/validation.rs`)
+//! The cross-validation tests (and `krisp-bench validation`)
 //! check that both backends agree exactly at wave boundaries and within
 //! one wave everywhere else, including on the Fig 8 spike structure.
 //! The discrete engine has no co-residency sharing (one workgroup owns a
