@@ -3,10 +3,10 @@
 //! numbers for two end-to-end scenarios (the Fig 13 4-worker sweep shape
 //! and an 8-GPU cluster drive).
 //!
-//! Every run writes `results/perf_smoke.json` and refreshes the
-//! workspace-root `BENCH_<PR>.json` trajectory point, so regressions are
-//! comparable across PRs. `KRISP_SMOKE=1` shrinks the macro scenarios
-//! for CI; micro numbers are unaffected.
+//! Every run writes `results/perf_smoke.json` (or into `KRISP_RESULTS`)
+//! and nothing else; the committed `BENCH_*.json` trajectory points are
+//! frozen records and are never rewritten here. `KRISP_SMOKE=1` shrinks
+//! the macro scenarios for CI; micro numbers are unaffected.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -20,13 +20,8 @@ use krisp_runtime::{PartitionMode, Runtime, RuntimeConfig};
 use krisp_server::{oracle_perfdb, run_cluster, run_server, ClusterConfig, Routing, ServerConfig};
 use krisp_sim::{CuMask, Engine, GpuTopology, KernelDesc, SimDuration, SimTime};
 
-/// The PR index this trajectory point belongs to.
-const TRAJECTORY_PR: u32 = 5;
-
 #[derive(Debug, Serialize)]
 struct PerfSmoke {
-    /// Trajectory point index (the PR that produced this shape).
-    pr: u32,
     /// True when the macro scenarios ran in shortened CI form.
     smoke: bool,
     /// Median nanoseconds per iteration, per micro-bench.
@@ -204,7 +199,6 @@ fn main() {
     macro_scenarios(&mut macro_ms, smoke);
 
     let record = PerfSmoke {
-        pr: TRAJECTORY_PR,
         smoke,
         micro_ns,
         macro_ms,
@@ -217,7 +211,4 @@ fn main() {
     let path = results.join("perf_smoke.json");
     std::fs::write(&path, &json).expect("write perf_smoke.json");
     eprintln!("[saved {}]", path.display());
-    let traj = workspace_root().join(format!("BENCH_{TRAJECTORY_PR}.json"));
-    std::fs::write(&traj, &json).expect("write trajectory point");
-    eprintln!("[saved {}]", traj.display());
 }

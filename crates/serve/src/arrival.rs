@@ -14,7 +14,17 @@ use rand::{Rng, SeedableRng};
 
 use krisp_sim::{SimDuration, SimTime};
 
-use crate::engine::ExternalArrival;
+/// One pre-generated open-loop arrival, as produced by
+/// [`poisson_arrivals`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ExternalArrival {
+    /// When the request reaches the front-end.
+    pub at: SimTime,
+    /// Index of the model the request targets.
+    pub model: usize,
+    /// Request id, assigned in global arrival order.
+    pub id: u64,
+}
 
 /// How requests arrive at the server.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,7 +69,7 @@ pub fn exp_sample(rng: &mut StdRng, rate_per_s: f64) -> SimDuration {
 /// exhaustion before the next, then the merge is sorted by
 /// `(time, model)` and request ids are assigned in final arrival
 /// order — so a given `seed` always produces the identical stream.
-/// Returned ascending in time, ready for [`crate::engine::drive`].
+/// Returned ascending in `(time, model, id)` order.
 pub fn poisson_arrivals(
     seed: u64,
     models: usize,

@@ -4,9 +4,11 @@
 //! (`krisp_server::experiment`) and the multi-GPU cluster
 //! (`krisp_server::cluster`) both serve through this crate's
 //! [`Worker`]s, request queues, admission guardrails, arrival
-//! generators, and flow books. Routing, health, and hedging stay with
-//! the cluster, which drives its fleet through the [`engine::Dispatcher`]
-//! trait; the single-GPU server steps its one runtime directly.
+//! generators, and flow books. Each front-end owns its event loop: the
+//! single-GPU server steps its one runtime directly, and the cluster
+//! merges one front-end event queue (arrivals, hedge checks, crashes)
+//! with its GPUs' runtimes, keeping routing, health, and hedging to
+//! itself.
 //!
 //! The pieces, bottom-up:
 //!
@@ -18,15 +20,9 @@
 //! - [`books`] — [`FlowCounters`] / [`RobustnessCounters`] /
 //!   [`SentinelCounters`], the conservation books every result carries.
 //! - [`arrival`] — the [`Arrival`] process descriptions plus the
-//!   deterministic Poisson stream generators.
+//!   deterministic Poisson stream generators ([`ExternalArrival`]s).
 //! - [`worker`] — the per-model [`Worker`] lifecycle (queue → batch →
 //!   tagged launch → end or discard the run).
-//! - [`calendar`] — the invalidating [`EventCalendar`] multi-device
-//!   dispatchers use to answer `next_device_at` without re-scanning
-//!   every device per event.
-//! - [`engine`] — the conservative event loop ([`engine::drive`]) that
-//!   interleaves control events, external arrivals, and device events
-//!   behind the [`engine::Dispatcher`] trait.
 //!
 //! Everything is driven by simulation time and seeded RNGs only: same
 //! seed, same trace, bit-identical results — the property the golden
@@ -37,16 +33,12 @@
 
 pub mod arrival;
 pub mod books;
-pub mod calendar;
-pub mod engine;
 pub mod queue;
 pub mod sentinel;
 pub mod worker;
 
-pub use arrival::{exp_sample, poisson_arrivals, Arrival};
+pub use arrival::{exp_sample, poisson_arrivals, Arrival, ExternalArrival};
 pub use books::{FlowCounters, RobustnessCounters, SentinelCounters};
-pub use calendar::EventCalendar;
-pub use engine::{drive, Dispatcher, ExternalArrival};
 pub use queue::{InferenceRequest, RequestQueue};
 pub use sentinel::{
     AdmissionChain, BrownoutConfig, BrownoutController, SentinelConfig, SentinelState, TokenBucket,

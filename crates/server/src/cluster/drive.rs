@@ -1,28 +1,28 @@
-//! The cluster dispatcher: routing and the per-event logic behind the
-//! shared serving engine's conservative event loop.
+//! The cluster's event loop: one front-end event queue, the fleet of
+//! GPU runtimes, routing, and the per-event logic.
 //!
 //! [`run_cluster_observed`] brings every GPU up from one shared plan
-//! (the same bring-up as the single-GPU server), builds one
-//! `ClusterEngine`, and hands it to
-//! [`krisp_serve_core::engine::drive`]; the engine's
-//! [`Dispatcher`] implementation encodes the cluster's tie-breaks
-//! (crash ≥ hedge ≥ arrival ≥ GPU event at equal instants) so same-seed
-//! runs replay bit-identically.
+//! (the same bring-up as the single-GPU server), queues the pre-generated
+//! arrivals and the scripted crash as `Front` events, and runs a
+//! `ClusterEngine` to completion. Each step takes whichever is earlier:
+//! the front-end queue's head, or the GPU with the earliest pending event
+//! (lowest index on ties). At an equal instant the front-end goes first,
+//! so a routing decision at *t* sees every GPU quiesced up to *t*; the
+//! ordering of `Front` breaks ties inside the queue. Same-seed runs
+//! therefore replay bit-identically.
 
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use krisp::DistributionPolicy;
 use krisp_models::TraceConfig;
 use krisp_obs::{EventBus, EventKind, Obs};
 use krisp_runtime::{KrispError, RequiredCusTable, RtEvent, Runtime, RuntimeConfig};
-use krisp_serve_core::engine::{drive, Dispatcher, ExternalArrival};
-use krisp_serve_core::{
-    poisson_arrivals, worker_on, EventCalendar, InferenceRequest, RequestQueue, Worker,
-};
+use krisp_serve_core::{poisson_arrivals, worker_on, InferenceRequest, RequestQueue, Worker};
 use krisp_sim::{MachineError, SimTime};
 
-use super::config::{ClusterConfig, CrashScript, Routing};
+use super::config::{ClusterConfig, Routing};
 use super::health::{apply_crash, finish_restart, maybe_begin_restart, note_failure, GpuHealth};
 use super::hedge::{fire_hedge, HedgeState};
 use super::result::{self, ClusterResult, ClusterRobustness};
@@ -58,9 +58,35 @@ impl Gpu {
 
 pub(super) const TOKEN_RESTART: u64 = 0x7000_0000_0000_0000;
 
+/// A front-end event: the router's and control plane's timeline, kept
+/// apart from the GPUs' own.
+///
+/// Queued as `(instant, Front)` and popped smallest first. The derived
+/// order breaks same-instant ties by variant order, so a crash lands
+/// before a hedge check and a hedge check before an arrival (routing at
+/// that instant then avoids the dead GPU). Within a variant the fields
+/// compare in declaration order: hedges on `(id, mi, primary,
+/// arrival)`, arrivals on `(model, id)` — the order
+/// [`poisson_arrivals`] produces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(super) enum Front {
+    /// The scripted crash ([`ClusterConfig::crash`]) fires.
+    Crash,
+    /// A hedge check for request `id` of model `mi`, first routed to
+    /// GPU `primary`, that arrived at `arrival`.
+    Hedge {
+        id: u64,
+        mi: usize,
+        primary: usize,
+        arrival: SimTime,
+    },
+    /// Request `id` for model `model` reaches the router.
+    Arrival { model: usize, id: u64 },
+}
+
 /// All per-run state of the multi-GPU cluster: the GPUs, the router's
-/// round-robin cursor, the crash/hedge control plane, and the running
-/// books. Implements [`Dispatcher`] so the shared engine can drive it.
+/// round-robin cursor, the front-end event queue, hedge settlement, and
+/// the running books.
 pub(super) struct ClusterEngine<'a> {
     pub(super) config: &'a ClusterConfig,
     pub(super) gpus: Vec<Gpu>,
@@ -69,87 +95,72 @@ pub(super) struct ClusterEngine<'a> {
     pub(super) rr_next: usize,
     pub(super) latencies_ms: Vec<f64>,
     pub(super) per_gpu: Vec<usize>,
-    pub(super) pending_crash: Option<CrashScript>,
+    /// Pending front-end events, earliest first.
+    front: BinaryHeap<Reverse<(SimTime, Front)>>,
     pub(super) hedge: HedgeState,
     pub(super) drained: u64,
     pub(super) horizon_end: SimTime,
     pub(super) total_arrivals: u64,
-    /// Cached per-GPU next-event instants. `next_device_at` must be a
-    /// pure query, so every `&mut self` dispatcher method refreshes the
-    /// calendar before returning (see [`ClusterEngine::refresh_calendar`]).
-    pub(super) calendar: EventCalendar,
 }
 
-impl Dispatcher for ClusterEngine<'_> {
-    /// The control plane merges the crash script and the hedge timers;
-    /// on a tie the crash fires first (see [`Dispatcher::step_control`]).
-    fn next_control_at(&self) -> Option<SimTime> {
-        let crash = self.pending_crash.map(|c| c.at);
-        let hedge = self.hedge.pending.peek().map(|Reverse((t, ..))| *t);
-        match (crash, hedge) {
-            (None, None) => None,
-            (Some(t), None) | (None, Some(t)) => Some(t),
-            (Some(tc), Some(th)) => Some(tc.min(th)),
+impl ClusterEngine<'_> {
+    /// Steps front-end and GPU events in time order until both are
+    /// exhausted. Scanning every GPU per step is cheap: each runtime
+    /// answers `next_event_at` from its memoized state.
+    fn run(&mut self) {
+        loop {
+            let device = self
+                .gpus
+                .iter()
+                .enumerate()
+                .filter_map(|(gi, gpu)| gpu.rt.next_event_at().map(|t| (t, gi)))
+                .min();
+            match (self.front.peek().copied(), device) {
+                (Some(Reverse((at, ev))), device) if device.is_none_or(|(t, _)| at <= t) => {
+                    self.front.pop();
+                    self.on_front(at, ev);
+                }
+                (_, Some((_, gi))) => self.handle_gpu_event(gi),
+                _ => break,
+            }
         }
     }
 
-    fn step_control(&mut self) {
-        // The crash is applied before any same-instant hedge (and the
-        // engine already orders control before same-instant arrivals and
-        // GPU events), so routing at that instant avoids the dead GPU.
-        let crash_at = self.pending_crash.map(|c| c.at);
-        let hedge_at = self.hedge.pending.peek().map(|Reverse((t, ..))| *t);
-        let crash_first = match (crash_at, hedge_at) {
-            (Some(tc), Some(th)) => tc <= th,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        if crash_first {
-            let crash = self.pending_crash.take().expect("checked above");
-            apply_crash(&mut self.gpus, &crash, &mut self.rob, &mut self.hedge);
-        } else if let Some(Reverse((at, id, mi, primary, arrival))) = self.hedge.pending.pop() {
-            let req = InferenceRequest::new(id, self.config.models[mi], self.config.batch, arrival);
-            fire_hedge(
-                &mut self.gpus,
-                req,
+    fn on_front(&mut self, at: SimTime, ev: Front) {
+        match ev {
+            Front::Crash => {
+                let crash = self
+                    .config
+                    .crash
+                    .expect("a crash event needs a crash script");
+                apply_crash(&mut self.gpus, &crash, &mut self.rob, &mut self.hedge);
+            }
+            Front::Hedge {
+                id,
                 mi,
                 primary,
-                at,
-                &mut self.rob,
-                &mut self.hedge,
-            );
+                arrival,
+            } => {
+                let req =
+                    InferenceRequest::new(id, self.config.models[mi], self.config.batch, arrival);
+                fire_hedge(
+                    &mut self.gpus,
+                    req,
+                    mi,
+                    primary,
+                    at,
+                    &mut self.rob,
+                    &mut self.hedge,
+                );
+            }
+            Front::Arrival { model, id } => self.on_arrival(at, model, id),
         }
-        // Crashes and hedges may touch any GPU's runtime.
-        self.calendar.invalidate_all();
-        self.refresh_calendar();
-    }
-
-    fn next_device_at(&self) -> Option<SimTime> {
-        self.calendar.earliest().map(|(t, _)| t)
-    }
-
-    /// Steps the GPU with the globally earliest pending event (lowest
-    /// index on ties, so same-seed runs replay identically — the
-    /// calendar resolves ties by lowest slot index, matching the
-    /// `(time, gpu)` min-scan it replaced).
-    fn step_device(&mut self) {
-        let (_, gi) = self.calendar.earliest().expect("a device event is pending");
-        self.handle_gpu_event(gi);
-        // Completions can retry requests onto other GPUs and restarts
-        // touch health fleet-wide, so conservatively re-query everyone.
-        self.calendar.invalidate_all();
-        self.refresh_calendar();
     }
 
     /// Routes an arrival to a GPU — all GPUs are quiesced up to the
-    /// arrival instant, so worker states are current — and arms its
-    /// hedge timer if hedging is configured.
-    fn on_arrival(&mut self, arrival: ExternalArrival) {
-        let ExternalArrival {
-            at: ta,
-            model: mi,
-            id,
-        } = arrival;
+    /// arrival instant, so worker states are current — and queues its
+    /// hedge check if hedging is configured.
+    fn on_arrival(&mut self, ta: SimTime, mi: usize, id: u64) {
         let config = self.config;
         let gpus = &mut self.gpus;
         let rr_next = &mut self.rr_next;
@@ -176,27 +187,15 @@ impl Dispatcher for ClusterEngine<'_> {
         });
         let req = InferenceRequest::new(id, config.models[mi], config.batch, ta);
         let admitted = enqueue(&mut gpus[gi], mi, req, ta);
-        if admitted {
-            if let Some(h) = config.hedge {
-                self.hedge
-                    .pending
-                    .push(Reverse((ta + h.delay, id, mi, gi, ta)));
-            }
+        if let Some(h) = config.hedge.filter(|_| admitted) {
+            let check = Front::Hedge {
+                id,
+                mi,
+                primary: gi,
+                arrival: ta,
+            };
+            self.front.push(Reverse((ta + h.delay, check)));
         }
-        // Only the routed GPU's timeline changed (the hedge arm is
-        // control-plane state).
-        self.calendar.invalidate(gi);
-        self.refresh_calendar();
-    }
-}
-
-impl ClusterEngine<'_> {
-    /// Re-queries every invalidated calendar slot. Cheap: the machine
-    /// answers `next_event_at` from its own memoized state, so even an
-    /// `invalidate_all` refresh is a handful of O(1) probes.
-    fn refresh_calendar(&mut self) {
-        let ClusterEngine { calendar, gpus, .. } = self;
-        calendar.refresh(|i| gpus[i].rt.next_event_at());
     }
 
     /// Steps one GPU's runtime and reacts to what it produced: deferred
@@ -291,9 +290,9 @@ impl ClusterEngine<'_> {
 ///
 /// # Panics
 ///
-/// Panics if the configuration is degenerate (no GPUs, no models, a
-/// non-positive rate, or a crash script naming a GPU that does not
-/// exist).
+/// Panics if the configuration is degenerate: no GPUs, no models, a
+/// non-positive rate, a crash script or fault plan naming a GPU that
+/// does not exist, or two fault plans for the same GPU.
 pub fn run_cluster(config: &ClusterConfig, perfdb: &RequiredCusTable) -> ClusterResult {
     run_cluster_observed(config, perfdb, Obs::disabled())
 }
@@ -319,6 +318,17 @@ pub fn run_cluster_observed(
             "crash names GPU {} of {}",
             c.gpu,
             config.gpus
+        );
+    }
+    for (i, (g, _)) in config.faults.iter().enumerate() {
+        assert!(
+            *g < config.gpus,
+            "fault plan names GPU {g} of {}",
+            config.gpus
+        );
+        assert!(
+            config.faults[..i].iter().all(|(h, _)| h != g),
+            "two fault plans for GPU {g}"
         );
     }
 
@@ -380,7 +390,18 @@ pub fn run_cluster_observed(
         config.horizon,
     );
 
-    // --- Conservative multi-machine event loop -------------------------
+    // --- Front-end events and the event loop ---------------------------
+    let mut front: BinaryHeap<_> = arrivals
+        .iter()
+        .map(|a| {
+            let ev = Front::Arrival {
+                model: a.model,
+                id: a.id,
+            };
+            Reverse((a.at, ev))
+        })
+        .collect();
+    front.extend(config.crash.map(|c| Reverse((c.at, Front::Crash))));
     let mut engine = ClusterEngine {
         config,
         per_gpu: vec![0usize; config.gpus],
@@ -389,15 +410,13 @@ pub fn run_cluster_observed(
         rob,
         rr_next: 0,
         latencies_ms: Vec::new(),
-        pending_crash: config.crash,
+        front,
         hedge: HedgeState::default(),
         drained: 0,
         horizon_end: SimTime::ZERO + config.horizon,
         total_arrivals: arrivals.len() as u64,
-        calendar: EventCalendar::new(config.gpus),
     };
-    engine.refresh_calendar();
-    drive(&mut engine, arrivals);
+    engine.run();
     result::finish(engine)
 }
 

@@ -1,7 +1,6 @@
 //! Hedged dispatch of straggling requests with first-wins settlement.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use krisp_obs::EventKind;
 use krisp_serve_core::InferenceRequest;
@@ -25,15 +24,10 @@ pub struct HedgeConfig {
     pub delay: SimDuration,
 }
 
-/// A scheduled hedge check, min-ordered by fire time: (fire time,
-/// request id, model index, primary GPU, original arrival).
-pub(super) type HedgeEntry = Reverse<(SimTime, u64, usize, usize, SimTime)>;
-
-/// First-wins bookkeeping for hedged requests.
+/// First-wins bookkeeping for hedged requests. The hedge checks
+/// themselves wait in the cluster's front-end event queue.
 #[derive(Default)]
 pub(super) struct HedgeState {
-    /// Pending hedge checks, earliest fire time first.
-    pub(super) pending: BinaryHeap<HedgeEntry>,
     /// Requests already settled (first copy completed, or last live copy
     /// dropped). Later copies of these ids are cancelled on sight.
     pub(super) done: HashSet<u64>,

@@ -4,14 +4,13 @@
 //! device.
 //!
 //! Each GPU is its own [`krisp_runtime::Runtime`] (own clock, queues,
-//! energy meter); the cluster driver synchronizes them
-//! **conservatively** through the shared serving engine
-//! ([`krisp_serve_core::engine::drive`]): the entity with the globally
-//! earliest pending event always steps first, so routing decisions made
-//! at an arrival instant observe every GPU's true state at that instant.
-//! The cluster-specific behavior — routing, health, hedging — lives in
-//! the `drive` module's [`krisp_serve_core::engine::Dispatcher`]
-//! implementation.
+//! energy meter). The cluster's event loop (the `drive` module)
+//! synchronizes them **conservatively** with one front-end event queue
+//! of arrivals, hedge checks and the scripted crash: whichever event is
+//! globally earliest steps first, and the front-end wins an equal
+//! instant, so routing decisions made at an arrival instant observe
+//! every GPU's true state at that instant. Routing, health and hedging
+//! live in the cluster itself; serve-core supplies the per-GPU workers.
 //!
 //! ## Health-aware serving
 //!

@@ -3,6 +3,7 @@ use krisp_obs::{EventKind, Obs};
 use krisp_runtime::WatchdogConfig;
 use krisp_sim::{FaultPlan, SimDuration, SimTime};
 
+use super::drive::Front;
 use super::*;
 use crate::experiment::oracle_perfdb;
 
@@ -309,4 +310,49 @@ fn hedging_without_stragglers_changes_nothing() {
     }));
     assert_eq!(off, on);
     assert_eq!(on.robustness.hedged, 0);
+}
+
+#[test]
+fn front_events_at_one_instant_order_crash_hedge_arrival() {
+    let t = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+    let crash = Front::Crash;
+    let hedge = Front::Hedge {
+        id: 0,
+        mi: 0,
+        primary: 0,
+        arrival: t(0),
+    };
+    let arrival = Front::Arrival { model: 0, id: 0 };
+    // Equal instant: the crash lands first, then the hedge check, then
+    // the arrival (so routing at that instant avoids the dead GPU).
+    assert!((t(5), crash) < (t(5), hedge));
+    assert!((t(5), hedge) < (t(5), arrival));
+    // An earlier instant wins whatever the variants.
+    let all = [crash, hedge, arrival];
+    for early in all {
+        for late in all {
+            assert!((t(4), early) < (t(5), late), "{early:?} vs {late:?}");
+        }
+    }
+}
+
+fn faulty(faults: Vec<usize>) -> ClusterResult {
+    let models = vec![ModelKind::Squeezenet];
+    let db = oracle_perfdb(&models, &[32]);
+    let mut cfg = ClusterConfig::new(2, models, 20.0);
+    cfg.horizon = SimDuration::from_millis(100);
+    cfg.faults = faults.into_iter().map(|g| (g, FaultPlan::new())).collect();
+    run_cluster(&cfg, &db)
+}
+
+#[test]
+#[should_panic(expected = "fault plan names GPU 2 of 2")]
+fn fault_plan_for_a_missing_gpu_is_rejected() {
+    faulty(vec![2]);
+}
+
+#[test]
+#[should_panic(expected = "two fault plans for GPU 1")]
+fn two_fault_plans_for_one_gpu_are_rejected() {
+    faulty(vec![1, 0, 1]);
 }

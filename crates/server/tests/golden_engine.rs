@@ -16,8 +16,10 @@ use std::path::PathBuf;
 use krisp::Policy;
 use krisp_models::ModelKind;
 use krisp_runtime::WatchdogConfig;
+use krisp_serve_core::poisson_arrivals;
 use krisp_server::{
-    run_cluster, run_server, Arrival, ClusterConfig, CrashScript, SentinelConfig, ServerConfig,
+    run_cluster, run_server, Arrival, BreakerConfig, ClusterConfig, CrashScript, HedgeConfig,
+    Routing, SentinelConfig, ServerConfig,
 };
 use krisp_sim::{CuMask, FaultPlan, GpuTopology, SimDuration, SimTime};
 use serde::Serialize;
@@ -136,7 +138,7 @@ fn golden_cluster_crash_hedge_deadline() {
         at: SimTime::ZERO + SimDuration::from_millis(500),
         down_for: SimDuration::from_millis(400),
     });
-    cfg.hedge = Some(krisp_server::HedgeConfig {
+    cfg.hedge = Some(HedgeConfig {
         delay: SimDuration::from_millis(30),
     });
     check_golden("cluster_crash_hedge.json", &run_cluster(&cfg, &db));
@@ -167,4 +169,58 @@ fn golden_open_batched_stragglers() {
         "server_open_batched_stragglers.json",
         &run_server(&cfg, &db),
     );
+}
+
+/// Config 7 (cluster): round-robin routing with one GPU straggling hard
+/// enough that its watchdog abandons kernels, trips the breaker, and
+/// drains and restarts it — the per-GPU fault and breaker path.
+#[test]
+fn golden_cluster_breaker_round_robin() {
+    let models = vec![ModelKind::Squeezenet, ModelKind::Albert];
+    let db = oracle(&models);
+    let mut cfg = ClusterConfig::new(3, models, 60.0);
+    cfg.horizon = SimDuration::from_secs(2);
+    cfg.routing = Routing::RoundRobin;
+    cfg.faults = vec![(
+        0,
+        FaultPlan::new().straggle_all(
+            SimTime::ZERO + SimDuration::from_millis(200),
+            1000.0,
+            SimDuration::from_millis(500),
+        ),
+    )];
+    cfg.watchdog = Some(WatchdogConfig {
+        max_retries: 1,
+        ..WatchdogConfig::default()
+    });
+    cfg.breaker = Some(BreakerConfig {
+        trip_after: 2,
+        restart: SimDuration::from_millis(600),
+    });
+    cfg.deadline = Some(SimDuration::from_millis(40));
+    check_golden("cluster_breaker_round_robin.json", &run_cluster(&cfg, &db));
+}
+
+/// Config 8 (cluster): a crash scripted at the exact instant of an
+/// arrival, with hedging and deadlines on. The crash must apply before
+/// the same-instant arrival is routed, so the arrival avoids the dead
+/// GPU.
+#[test]
+fn golden_cluster_crash_on_arrival() {
+    let models = vec![ModelKind::Squeezenet, ModelKind::Albert];
+    let db = oracle(&models);
+    let mut cfg = ClusterConfig::new(2, models, 200.0);
+    cfg.horizon = SimDuration::from_secs(1);
+    cfg.hedge = Some(HedgeConfig {
+        delay: SimDuration::from_millis(20),
+    });
+    cfg.deadline = Some(SimDuration::from_millis(60));
+    // The same stream `run_cluster` draws (from `seed ^ 0xA11A`).
+    let arrivals = poisson_arrivals(cfg.seed ^ 0xA11A, 2, 200.0, cfg.horizon);
+    cfg.crash = Some(CrashScript {
+        gpu: 0,
+        at: arrivals[40].at,
+        down_for: SimDuration::from_millis(200),
+    });
+    check_golden("cluster_crash_on_arrival.json", &run_cluster(&cfg, &db));
 }
