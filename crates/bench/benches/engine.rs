@@ -1,12 +1,14 @@
 //! Simulator throughput: how fast the discrete-event machine processes
 //! kernel dispatches under different co-location levels — the cost of
-//! every experiment in this suite.
+//! every experiment in this suite — and what one contention-engine
+//! re-rate costs when a dispatch does or does not share CUs with the
+//! kernels already resident.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use krisp::KrispAllocator;
 use krisp_runtime::{PartitionMode, Runtime, RuntimeConfig};
-use krisp_sim::KernelDesc;
+use krisp_sim::{CuMask, Engine, GpuTopology, KernelDesc, SeId};
 
 fn run_kernels(workers: usize, per_worker: usize, mode: PartitionMode) -> u64 {
     let mut rt = Runtime::new(RuntimeConfig {
@@ -46,5 +48,33 @@ fn bench_machine(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_machine);
+/// A dispatch/complete pair against four long-running co-resident
+/// kernels. `overlapped` shares CUs with all of them, so every dispatch
+/// re-rates the whole set; `disjoint` churns on SE0 while the residents
+/// hold one SE each, the case the incremental engine skips.
+fn bench_rate_recompute(c: &mut Criterion) {
+    let topo = GpuTopology::MI50;
+    let se = |s: u8| -> CuMask { topo.cus_in_se(SeId(s)).collect() };
+    let shared = CuMask::first_n(30, &topo);
+    let cases = [
+        ("overlapped", [shared; 4], shared),
+        ("disjoint", [se(0), se(1), se(2), se(3)], se(0)),
+    ];
+    let mut group = c.benchmark_group("rate_recompute");
+    for (name, residents, churn) in cases {
+        let mut e = Engine::new(topo);
+        for mask in residents {
+            e.dispatch(1.0e12, 60, 0.0, mask).expect("mask");
+        }
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let id = e.dispatch(1.0e6, 60, 0.0, churn).expect("mask");
+                e.complete(id)
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_machine, bench_rate_recompute);
 criterion_main!(benches);

@@ -10,8 +10,9 @@
 //! * a **metrics registry** ([`Metrics`] / [`Registry`]) of labelled
 //!   counters, gauges and log-bucketed [`Histogram`]s;
 //! * **exporters**: a Chrome-trace-event / Perfetto JSON builder
-//!   ([`perfetto::chrome_trace`]) and Prometheus text exposition plus a
-//!   JSON snapshot ([`prometheus::render_text`],
+//!   ([`perfetto::chrome_trace`]), an ASCII CU × time Gantt chart
+//!   ([`gantt::gantt`], [`gantt::occupancy_profile`]), and Prometheus
+//!   text exposition plus a JSON snapshot ([`prometheus::render_text`],
 //!   [`prometheus::render_json`]).
 //!
 //! Everything is **zero-cost when disabled**: a disabled [`EventBus`] or
@@ -43,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod gantt;
 pub mod metrics;
 pub mod perfetto;
 pub mod prometheus;

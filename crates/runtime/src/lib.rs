@@ -45,11 +45,12 @@ pub mod budget;
 pub mod error;
 pub mod perfdb;
 pub mod runtime;
+pub mod runtime_config;
 
 pub use budget::{RetryBudget, RetryBudgetConfig};
 pub use error::KrispError;
 pub use perfdb::RequiredCusTable;
-pub use runtime::{
-    EmulationCosts, MaskWidening, PartitionMode, RtEvent, Runtime, RuntimeConfig, StreamId,
-    WatchdogConfig,
+pub use runtime::Runtime;
+pub use runtime_config::{
+    EmulationCosts, MaskWidening, PartitionMode, RtEvent, RuntimeConfig, StreamId, WatchdogConfig,
 };

@@ -7,285 +7,17 @@ use std::sync::Arc;
 
 use krisp_obs::{EventKind, Obs};
 use krisp_sim::{
-    AqlPacket, CuKernelCounters, CuMask, DispatchCosts, EnforcementMode, FaultPlan,
-    FullMaskAllocator, GpuTopology, KernelDesc, Machine, MachineConfig, MachineError,
-    MaskAllocator, PowerModel, QueueId, SignalId, SimDuration, SimEvent, SimTime,
+    AqlPacket, CuKernelCounters, CuMask, EnforcementMode, FullMaskAllocator, GpuTopology,
+    KernelDesc, Machine, MachineConfig, MachineError, MaskAllocator, QueueId, SignalId,
+    SimDuration, SimEvent, SimTime,
 };
 
-use crate::budget::{RetryBudget, RetryBudgetConfig};
+use crate::budget::RetryBudget;
 use crate::error::KrispError;
 use crate::perfdb::RequiredCusTable;
-
-/// Identifier of a runtime stream (maps 1:1 onto an HSA queue).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct StreamId(pub u32);
-
-impl fmt::Display for StreamId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "stream{}", self.0)
-    }
-}
-
-impl From<StreamId> for QueueId {
-    fn from(s: StreamId) -> QueueId {
-        QueueId(s.0)
-    }
-}
-
-impl From<QueueId> for StreamId {
-    fn from(q: QueueId) -> StreamId {
-        StreamId(q.0)
-    }
-}
-
-/// Latencies of the emulation path's host-side steps (§V-A, Fig 11b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EmulationCosts {
-    /// Barrier-consumption callback into the runtime (right-sizing lookup
-    /// plus the software resource-allocation algorithm).
-    pub callback: SimDuration,
-    /// The HSA API / IOCTL syscall that rewrites the hardware queue's CU
-    /// mask.
-    pub ioctl: SimDuration,
-}
-
-impl Default for EmulationCosts {
-    fn default() -> EmulationCosts {
-        EmulationCosts {
-            callback: SimDuration::from_micros(5),
-            ioctl: SimDuration::from_micros(25),
-        }
-    }
-}
-
-impl EmulationCosts {
-    /// Total added host latency per emulated kernel launch.
-    pub fn per_kernel(&self) -> SimDuration {
-        self.callback + self.ioctl
-    }
-}
-
-/// The kernel watchdog: detects kernels running far past their expected
-/// duration (stragglers, hung dispatches), aborts them, and retries with
-/// bounded backoff before abandoning the launch.
-///
-/// The expected duration is the kernel's isolated latency on the mask it
-/// was granted ([`KernelDesc::isolated_latency`]); co-located kernels run
-/// slower than isolated, so `multiplier` must absorb legitimate sharing
-/// slowdown as well as jitter — keep it generous.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatchdogConfig {
-    /// A kernel is declared hung once it has run `multiplier ×` its
-    /// expected isolated latency.
-    pub multiplier: f64,
-    /// Deadline floor, so short kernels are not aborted on scheduling
-    /// noise.
-    pub min_timeout: SimDuration,
-    /// Retries after the first abort before the kernel is abandoned.
-    /// Also bounds CU-mask apply retries on the emulation path.
-    pub max_retries: u32,
-    /// Base backoff before a retry; attempt `n` waits `n × backoff`.
-    pub backoff: SimDuration,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> WatchdogConfig {
-        WatchdogConfig {
-            multiplier: 8.0,
-            min_timeout: SimDuration::from_micros(50),
-            max_retries: 3,
-            backoff: SimDuration::from_micros(20),
-        }
-    }
-}
-
-impl WatchdogConfig {
-    /// The abort deadline for a kernel with the given expected duration.
-    pub fn deadline(&self, expected: SimDuration) -> SimDuration {
-        let scaled = (expected.as_nanos() as f64 * self.multiplier).round() as u64;
-        SimDuration::from_nanos(scaled).max(self.min_timeout)
-    }
-}
-
-/// How the runtime realizes spatial partitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartitionMode {
-    /// Baseline: partitions are stream-scoped CU masks set explicitly by
-    /// the client through [`Runtime::set_stream_mask`] (AMD CU-Masking
-    /// API / MPS-style policies).
-    #[default]
-    StreamMasking,
-    /// KRISP with native hardware support: launches are right-sized from
-    /// the Required-CUs table and the partition size travels in the AQL
-    /// packet; the packet processor allocates the mask (1 µs).
-    KernelScopedNative,
-    /// KRISP emulated on stream-scoped masking, as the paper evaluates
-    /// it: barrier packets + callback + IOCTL around every kernel, with
-    /// the given costs.
-    KernelScopedEmulated(EmulationCosts),
-}
-
-/// Configuration for [`Runtime::new`].
-pub struct RuntimeConfig {
-    /// Device shape.
-    pub topology: GpuTopology,
-    /// Power model.
-    pub power: PowerModel,
-    /// Dispatch-path latencies.
-    pub costs: DispatchCosts,
-    /// Partitioning mode.
-    pub mode: PartitionMode,
-    /// Mask allocator for the kernel-scoped modes (Algorithm 1 from the
-    /// `krisp` crate in real use). Defaults to [`FullMaskAllocator`],
-    /// which models KRISP hardware with a trivial policy — exactly the
-    /// "emulated kernel-scoped partitions with an all-CU mask"
-    /// configuration the paper uses to measure `L_emu_base`.
-    pub allocator: Box<dyn MaskAllocator>,
-    /// Profiled per-kernel minimum CUs, shared read-only (hosts driving
-    /// many runtimes hand each one the same [`Arc`] instead of cloning
-    /// the table per device).
-    pub perfdb: Arc<RequiredCusTable>,
-    /// RNG seed for kernel-duration jitter.
-    pub seed: u64,
-    /// Lognormal sigma of kernel-duration jitter (0 disables).
-    pub jitter_sigma: f64,
-    /// Co-residency interference factor (see `krisp_sim::contention`).
-    pub sharing_penalty: f64,
-    /// Observability handles (event bus + metrics), shared with the
-    /// machine. Disabled by default.
-    pub obs: Obs,
-    /// Deterministic fault schedule passed to the machine, shared
-    /// read-only. Empty by default (and an empty plan is zero-cost).
-    pub faults: Arc<FaultPlan>,
-    /// Kernel watchdog; `None` (the default) disables timeout detection
-    /// entirely. Mask-apply faults are always retried (with
-    /// [`WatchdogConfig::default`]'s budget when no watchdog is set),
-    /// since the alternative was a panic.
-    pub watchdog: Option<WatchdogConfig>,
-    /// Global retry budget gating watchdog retries; `None` (the default)
-    /// leaves retries bounded only by [`WatchdogConfig::max_retries`].
-    pub retry_budget: Option<RetryBudgetConfig>,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> RuntimeConfig {
-        RuntimeConfig {
-            topology: GpuTopology::MI50,
-            power: PowerModel::MI50,
-            costs: DispatchCosts::default(),
-            mode: PartitionMode::StreamMasking,
-            allocator: Box::new(FullMaskAllocator),
-            perfdb: Arc::new(RequiredCusTable::new()),
-            seed: 42,
-            jitter_sigma: 0.0,
-            sharing_penalty: krisp_sim::contention::DEFAULT_SHARING_PENALTY,
-            obs: Obs::disabled(),
-            faults: Arc::new(FaultPlan::new()),
-            watchdog: None,
-            retry_budget: None,
-        }
-    }
-}
-
-impl fmt::Debug for RuntimeConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RuntimeConfig")
-            .field("topology", &self.topology)
-            .field("mode", &self.mode)
-            .field("perfdb_len", &self.perfdb.len())
-            .field("seed", &self.seed)
-            .field("jitter_sigma", &self.jitter_sigma)
-            .field("faults", &self.faults.events().len())
-            .field("watchdog", &self.watchdog)
-            .field("retry_budget", &self.retry_budget)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Events reported to the runtime's client.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RtEvent {
-    /// A kernel began executing in the given spatial partition.
-    KernelStarted {
-        /// Stream it was launched on.
-        stream: StreamId,
-        /// Client's correlation tag.
-        tag: u64,
-        /// Start instant.
-        at: SimTime,
-        /// Enforced CU mask.
-        mask: CuMask,
-    },
-    /// A kernel finished.
-    KernelCompleted {
-        /// Stream it was launched on.
-        stream: StreamId,
-        /// Client's correlation tag.
-        tag: u64,
-        /// Completion instant.
-        at: SimTime,
-    },
-    /// A client timer fired.
-    TimerFired {
-        /// Client's token.
-        token: u64,
-        /// Fire instant.
-        at: SimTime,
-    },
-    /// CUs permanently failed (injected device fault). Clients should
-    /// re-plan placement; the machine has already shrunk in-flight masks
-    /// and poisoned the resource-monitor counters.
-    CusFailed {
-        /// The CUs that just died.
-        mask: CuMask,
-        /// Injection instant.
-        at: SimTime,
-    },
-    /// A kernel was given up on: the watchdog aborted it and every retry
-    /// also timed out. The stream continues with its next packet.
-    KernelFailed {
-        /// Stream it was launched on.
-        stream: StreamId,
-        /// Client's correlation tag.
-        tag: u64,
-        /// Abandonment instant.
-        at: SimTime,
-        /// Why it was abandoned.
-        error: KrispError,
-    },
-}
-
-/// How much slack the runtime adds on top of the perfdb right-size —
-/// the sentinel's brownout lever. Under overload the server deliberately
-/// *widens* kernel partitions toward stream-scoped/full-device masks,
-/// trading KRISP's packing efficiency for latency headroom, then narrows
-/// back to [`MaskWidening::None`] once headroom recovers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MaskWidening {
-    /// Exact right-sizing (KRISP's normal operating point).
-    #[default]
-    None,
-    /// Scale the right-size by a percentage ≥ 100, capped at the full
-    /// device (150 = grant 1.5× the profiled minimum).
-    Factor(u32),
-    /// Grant every kernel the full device (equivalent to the MPS-default
-    /// partition while it lasts).
-    FullDevice,
-}
-
-impl MaskWidening {
-    /// Applies the widening to a right-sized CU count.
-    pub fn apply(&self, required: u16, total: u16) -> u16 {
-        match self {
-            MaskWidening::None => required,
-            MaskWidening::Factor(pct) => {
-                let widened = (u32::from(required) * pct) / 100;
-                (widened.min(u32::from(total))) as u16
-            }
-            MaskWidening::FullDevice => total,
-        }
-    }
-}
+use crate::runtime_config::{
+    MaskWidening, PartitionMode, RtEvent, RuntimeConfig, StreamId, WatchdogConfig,
+};
 
 /// Tokens/tags with this bit set are reserved for the runtime's internal
 /// emulation machinery.
@@ -1011,500 +743,4 @@ impl Runtime {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn kernel(work: f64, p: u16) -> KernelDesc {
-        KernelDesc::new("test_kernel", work, p)
-    }
-
-    fn completions(evs: &[RtEvent]) -> Vec<(u64, u64)> {
-        evs.iter()
-            .filter_map(|e| match e {
-                RtEvent::KernelCompleted { tag, at, .. } => Some((*tag, at.as_nanos())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn stream_masking_passthrough() {
-        let mut rt = Runtime::new(RuntimeConfig::default());
-        let s = rt.create_stream();
-        rt.set_stream_mask(s, CuMask::first_n(15, &rt.topology()))
-            .unwrap();
-        rt.launch(s, kernel(1.5e6, 60), 3);
-        let evs = rt.run_to_idle();
-        // 5us launch + 1.5e6/15 = 100us.
-        assert_eq!(completions(&evs), vec![(3, 105_000)]);
-    }
-
-    #[test]
-    fn native_mode_right_sizes_from_perfdb() {
-        let mut config = RuntimeConfig {
-            mode: PartitionMode::KernelScopedNative,
-            ..RuntimeConfig::default()
-        };
-        let k = kernel(1.0e6, 60);
-        Arc::make_mut(&mut config.perfdb).insert(&k, 10);
-        // FullMaskAllocator ignores the size, so to observe the request we
-        // use a capturing allocator.
-        #[derive(Debug)]
-        struct Capture(std::sync::Arc<std::sync::Mutex<Vec<u16>>>);
-        impl MaskAllocator for Capture {
-            fn allocate(
-                &mut self,
-                requested: u16,
-                _c: &CuKernelCounters,
-                topo: &GpuTopology,
-            ) -> CuMask {
-                self.0.lock().unwrap().push(requested);
-                CuMask::first_n(requested, topo)
-            }
-        }
-        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        config.allocator = Box::new(Capture(seen.clone()));
-        let mut rt = Runtime::new(config);
-        let s = rt.create_stream();
-        rt.launch(s, k.clone(), 0);
-        // Unprofiled kernel falls back to the full device.
-        rt.launch(s, kernel(2.0e6, 60).with_grid_threads(777), 1);
-        let evs = rt.run_to_idle();
-        assert_eq!(&*seen.lock().unwrap(), &[10, 60]);
-        let masks: Vec<u16> = evs
-            .iter()
-            .filter_map(|e| match e {
-                RtEvent::KernelStarted { mask, .. } => Some(mask.count()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(masks, vec![10, 60]);
-    }
-
-    #[test]
-    fn emulated_mode_adds_reconfiguration_latency() {
-        let costs = EmulationCosts::default(); // 5 + 25 us
-        let mut config = RuntimeConfig {
-            mode: PartitionMode::KernelScopedEmulated(costs),
-            ..RuntimeConfig::default()
-        };
-        let k = kernel(6.0e6, 60);
-        Arc::make_mut(&mut config.perfdb).insert(&k, 60);
-        let mut rt = Runtime::new(config);
-        let s = rt.create_stream();
-        rt.launch(s, k, 9);
-        let evs = rt.run_to_idle();
-        // Reconfig (30us) + launch (5us) + exec (100us).
-        assert_eq!(completions(&evs), vec![(9, 135_000)]);
-        assert_eq!(rt.emulated_launches(), 1);
-    }
-
-    #[test]
-    fn emulated_mode_rewrites_queue_mask_per_kernel() {
-        #[derive(Debug)]
-        struct FirstN;
-        impl MaskAllocator for FirstN {
-            fn allocate(
-                &mut self,
-                requested: u16,
-                _c: &CuKernelCounters,
-                topo: &GpuTopology,
-            ) -> CuMask {
-                CuMask::first_n(requested, topo)
-            }
-        }
-        let mut config = RuntimeConfig {
-            mode: PartitionMode::KernelScopedEmulated(EmulationCosts::default()),
-            allocator: Box::new(FirstN),
-            ..RuntimeConfig::default()
-        };
-        let ka = kernel(1.0e6, 60).with_grid_threads(1);
-        let kb = kernel(1.0e6, 60).with_grid_threads(2);
-        Arc::make_mut(&mut config.perfdb).insert(&ka, 10);
-        Arc::make_mut(&mut config.perfdb).insert(&kb, 30);
-        let mut rt = Runtime::new(config);
-        let s = rt.create_stream();
-        rt.launch(s, ka, 0);
-        rt.launch(s, kb, 1);
-        let evs = rt.run_to_idle();
-        let masks: Vec<u16> = evs
-            .iter()
-            .filter_map(|e| match e {
-                RtEvent::KernelStarted { mask, .. } => Some(mask.count()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(masks, vec![10, 30]);
-        // The stream mask ends at the last kernel's partition — the
-        // emulation leaves it behind, exactly like the real API would.
-        assert_eq!(rt.stream_mask(s).unwrap().count(), 30);
-    }
-
-    #[test]
-    fn l_over_accounting_matches_paper_formula() {
-        // L_over = L_emu_base - L_real_base with an all-CU allocator, and
-        // it should equal per-kernel emulation cost x kernel count.
-        let run = |mode: PartitionMode| {
-            let mut rt = Runtime::new(RuntimeConfig {
-                mode,
-                ..RuntimeConfig::default()
-            });
-            let s = rt.create_stream();
-            for i in 0..10 {
-                rt.launch(s, kernel(1.0e6, 60), i);
-            }
-            rt.run_to_idle();
-            rt.now()
-        };
-        let costs = EmulationCosts::default();
-        let real = run(PartitionMode::StreamMasking);
-        let emu = run(PartitionMode::KernelScopedEmulated(costs));
-        let l_over = emu.saturating_since(real);
-        assert_eq!(l_over, costs.per_kernel() * 10);
-    }
-
-    #[test]
-    fn client_timers_pass_through() {
-        let mut rt = Runtime::new(RuntimeConfig::default());
-        rt.add_timer(SimDuration::from_micros(7), 55);
-        let evs = rt.run_to_idle();
-        assert_eq!(
-            evs,
-            vec![RtEvent::TimerFired {
-                token: 55,
-                at: SimTime::ZERO + SimDuration::from_micros(7)
-            }]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "reserved")]
-    fn internal_tag_bit_is_rejected() {
-        let mut rt = Runtime::new(RuntimeConfig::default());
-        let s = rt.create_stream();
-        rt.launch(s, kernel(1.0, 1), 1 << 63);
-    }
-
-    #[test]
-    fn empty_fault_plan_is_bit_identical() {
-        let run = |faults: FaultPlan| {
-            let mut rt = Runtime::new(RuntimeConfig {
-                jitter_sigma: 0.05,
-                faults: Arc::new(faults),
-                ..RuntimeConfig::default()
-            });
-            let s = rt.create_stream();
-            for i in 0..5 {
-                rt.launch(s, kernel(2.0e6, 30), i);
-            }
-            let evs = rt.run_to_idle();
-            (rt.now(), rt.energy_joules().to_bits(), evs)
-        };
-        assert_eq!(run(FaultPlan::new()), run(FaultPlan::default()));
-    }
-
-    #[test]
-    fn cu_failures_surface_as_client_events() {
-        let topo = GpuTopology::MI50;
-        let mut rt = Runtime::new(RuntimeConfig {
-            faults: Arc::new(
-                FaultPlan::new().fail_cus(SimTime::from_nanos(50_000), CuMask::first_n(15, &topo)),
-            ),
-            ..RuntimeConfig::default()
-        });
-        let s = rt.create_stream();
-        rt.launch(s, kernel(6.0e6, 60), 0);
-        let evs = rt.run_to_idle();
-        assert!(evs
-            .iter()
-            .any(|e| matches!(e, RtEvent::CusFailed { mask, .. } if mask.count() == 15)));
-        assert_eq!(rt.failed_cus().count(), 15);
-        assert_eq!(rt.healthy_mask().count(), 45);
-        // The kernel still completes, just slower on 45 CUs.
-        assert_eq!(completions(&evs).len(), 1);
-    }
-
-    #[test]
-    fn watchdog_retries_straggler_then_succeeds() {
-        // A straggler window elongates the first dispatch 100x; the
-        // watchdog aborts it, backs off, and the retry (outside the
-        // window) runs clean.
-        let mut rt = Runtime::new(RuntimeConfig {
-            faults: Arc::new(FaultPlan::new().straggle_all(
-                SimTime::ZERO,
-                100.0,
-                SimDuration::from_micros(20),
-            )),
-            watchdog: Some(WatchdogConfig {
-                multiplier: 2.0,
-                min_timeout: SimDuration::from_micros(10),
-                max_retries: 3,
-                backoff: SimDuration::from_micros(20),
-            }),
-            ..RuntimeConfig::default()
-        });
-        let s = rt.create_stream();
-        // 1e6 work on 60 CUs ≈ 16.7us expected; straggled = 1.67ms.
-        rt.launch(s, kernel(1.0e6, 60), 7);
-        let evs = rt.run_to_idle();
-        let starts = evs
-            .iter()
-            .filter(|e| matches!(e, RtEvent::KernelStarted { .. }))
-            .count();
-        assert!(starts >= 2, "expected a retry start, got {evs:?}");
-        assert_eq!(completions(&evs).len(), 1);
-        assert!(!evs
-            .iter()
-            .any(|e| matches!(e, RtEvent::KernelFailed { .. })));
-        assert!(rt.errors().is_empty());
-    }
-
-    #[test]
-    fn watchdog_abandons_permanent_straggler() {
-        // The straggle window outlives every retry: the kernel is
-        // eventually abandoned and the stream continues.
-        let mut rt = Runtime::new(RuntimeConfig {
-            faults: Arc::new(FaultPlan::new().straggle_all(
-                SimTime::ZERO,
-                1000.0,
-                SimDuration::from_millis(100),
-            )),
-            watchdog: Some(WatchdogConfig {
-                multiplier: 2.0,
-                min_timeout: SimDuration::from_micros(5),
-                max_retries: 2,
-                backoff: SimDuration::from_micros(5),
-            }),
-            ..RuntimeConfig::default()
-        });
-        let s = rt.create_stream();
-        rt.launch(s, kernel(1.0e6, 60), 1);
-        let evs = rt.run_to_idle();
-        let failed: Vec<_> = evs
-            .iter()
-            .filter_map(|e| match e {
-                RtEvent::KernelFailed { tag, error, .. } => Some((*tag, error.clone())),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(failed.len(), 1);
-        assert_eq!(failed[0].0, 1);
-        assert!(matches!(
-            failed[0].1,
-            KrispError::KernelTimeout { attempts: 3, .. }
-        ));
-        assert!(completions(&evs).is_empty());
-        assert_eq!(rt.errors().len(), 1);
-    }
-
-    #[test]
-    fn mask_apply_faults_retry_then_fall_back_to_stream_scoped() {
-        // Reject mask IOCTLs on the stream for a long window: the first
-        // emulated launch exhausts its retries, the stream downgrades to
-        // stream-scoped masking, and both kernels still complete.
-        let mut rt = Runtime::new(RuntimeConfig {
-            mode: PartitionMode::KernelScopedEmulated(EmulationCosts::default()),
-            faults: Arc::new(FaultPlan::new().reject_mask_apply(
-                SimTime::ZERO,
-                QueueId(0),
-                SimDuration::from_millis(500),
-            )),
-            ..RuntimeConfig::default()
-        });
-        let s = rt.create_stream();
-        rt.launch(s, kernel(1.0e6, 60), 0);
-        let evs = rt.run_to_idle();
-        assert_eq!(completions(&evs).len(), 1);
-        assert_eq!(rt.stream_fallbacks(), vec![s]);
-        assert!(rt
-            .errors()
-            .iter()
-            .any(|e| matches!(e, KrispError::MaskApply { stream: 0, .. })));
-        assert_eq!(rt.emulated_launches(), 1);
-        // The degraded stream now skips the emulation machinery entirely:
-        // later launches are plain stream-scoped dispatches.
-        rt.launch(s, kernel(1.0e6, 60), 1);
-        let evs = rt.run_to_idle();
-        assert_eq!(completions(&evs).len(), 1);
-        assert_eq!(rt.emulated_launches(), 1);
-    }
-
-    #[test]
-    fn mask_apply_fault_clears_within_retry_budget() {
-        // A short rejection window: the retry succeeds and kernel-scoped
-        // emulation keeps working (no fallback, no errors).
-        let mut rt = Runtime::new(RuntimeConfig {
-            mode: PartitionMode::KernelScopedEmulated(EmulationCosts::default()),
-            faults: Arc::new(FaultPlan::new().reject_mask_apply(
-                SimTime::ZERO,
-                QueueId(0),
-                SimDuration::from_micros(40),
-            )),
-            watchdog: Some(WatchdogConfig {
-                backoff: SimDuration::from_micros(30),
-                ..WatchdogConfig::default()
-            }),
-            ..RuntimeConfig::default()
-        });
-        let s = rt.create_stream();
-        rt.launch(s, kernel(1.0e6, 60), 0);
-        let evs = rt.run_to_idle();
-        assert_eq!(completions(&evs).len(), 1);
-        assert!(rt.stream_fallbacks().is_empty());
-        assert!(rt.errors().is_empty());
-    }
-
-    #[test]
-    fn stale_perfdb_entry_degrades_to_full_device() {
-        let mut config = RuntimeConfig {
-            mode: PartitionMode::KernelScopedNative,
-            ..RuntimeConfig::default()
-        };
-        let k = kernel(1.0e6, 60);
-        Arc::make_mut(&mut config.perfdb).insert(&k, 999); // profiled on other hardware
-        let mut rt = Runtime::new(config);
-        let s = rt.create_stream();
-        rt.launch(s, k, 0);
-        let evs = rt.run_to_idle();
-        assert_eq!(completions(&evs).len(), 1);
-        let errors = rt.take_errors();
-        assert_eq!(errors.len(), 1);
-        assert!(matches!(
-            errors[0],
-            KrispError::StalePerfDbEntry { profiled: 999, .. }
-        ));
-        assert!(rt.errors().is_empty());
-    }
-
-    #[test]
-    fn retry_budget_denial_abandons_with_typed_error() {
-        // A permanent straggler with a generous per-kernel retry cap but
-        // a tiny global budget: the first retry is granted by the floor,
-        // the second is denied, and the kernel is abandoned with the
-        // budget-specific error (not a plain timeout).
-        let mut rt = Runtime::new(RuntimeConfig {
-            faults: Arc::new(FaultPlan::new().straggle_all(
-                SimTime::ZERO,
-                1000.0,
-                SimDuration::from_millis(100),
-            )),
-            watchdog: Some(WatchdogConfig {
-                multiplier: 2.0,
-                min_timeout: SimDuration::from_micros(5),
-                max_retries: 10,
-                backoff: SimDuration::from_micros(5),
-            }),
-            retry_budget: Some(RetryBudgetConfig {
-                ratio: 0.0,
-                window: SimDuration::from_secs(1),
-                min_retries: 1,
-            }),
-            ..RuntimeConfig::default()
-        });
-        let s = rt.create_stream();
-        rt.launch(s, kernel(1.0e6, 60), 4);
-        let evs = rt.run_to_idle();
-        let failed: Vec<_> = evs
-            .iter()
-            .filter_map(|e| match e {
-                RtEvent::KernelFailed { error, .. } => Some(error.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(failed.len(), 1);
-        assert!(matches!(
-            failed[0],
-            KrispError::RetryBudgetExhausted { tag: 4, .. }
-        ));
-        assert_eq!(rt.retry_budget_counters(), (1, 1));
-    }
-
-    #[test]
-    fn retry_budget_without_pressure_is_bit_identical() {
-        // Same-seed regression for the budget wiring (and the
-        // expiry-before-check tie-break): with no faults the budget only
-        // records successes, so enabling it must not perturb a single
-        // bit of the execution.
-        let run = |budget: Option<RetryBudgetConfig>| {
-            let mut rt = Runtime::new(RuntimeConfig {
-                jitter_sigma: 0.05,
-                watchdog: Some(WatchdogConfig::default()),
-                retry_budget: budget,
-                ..RuntimeConfig::default()
-            });
-            let s = rt.create_stream();
-            for i in 0..8 {
-                rt.launch(s, kernel(2.0e6, 30), i);
-            }
-            let evs = rt.run_to_idle();
-            (rt.now(), rt.energy_joules().to_bits(), evs)
-        };
-        assert_eq!(run(None), run(Some(RetryBudgetConfig::default())));
-        // And the budget path itself replays bit-identically.
-        assert_eq!(
-            run(Some(RetryBudgetConfig::default())),
-            run(Some(RetryBudgetConfig::default()))
-        );
-    }
-
-    #[test]
-    fn mask_widening_widens_then_narrows_back() {
-        #[derive(Debug)]
-        struct FirstN;
-        impl MaskAllocator for FirstN {
-            fn allocate(
-                &mut self,
-                requested: u16,
-                _c: &CuKernelCounters,
-                topo: &GpuTopology,
-            ) -> CuMask {
-                CuMask::first_n(requested, topo)
-            }
-        }
-        let mut config = RuntimeConfig {
-            mode: PartitionMode::KernelScopedNative,
-            allocator: Box::new(FirstN),
-            ..RuntimeConfig::default()
-        };
-        let k = kernel(1.0e6, 60);
-        Arc::make_mut(&mut config.perfdb).insert(&k, 10);
-        let mut rt = Runtime::new(config);
-        let s = rt.create_stream();
-        rt.launch(s, k.clone(), 0);
-        rt.set_mask_widening(MaskWidening::Factor(200));
-        rt.launch(s, k.clone(), 1);
-        rt.set_mask_widening(MaskWidening::FullDevice);
-        rt.launch(s, k.clone(), 2);
-        rt.set_mask_widening(MaskWidening::None);
-        rt.launch(s, k, 3);
-        let evs = rt.run_to_idle();
-        let masks: Vec<u16> = evs
-            .iter()
-            .filter_map(|e| match e {
-                RtEvent::KernelStarted { mask, .. } => Some(mask.count()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(masks, vec![10, 20, 60, 10]);
-        // Factor widening saturates at the device size.
-        assert_eq!(MaskWidening::Factor(900).apply(10, 60), 60);
-        assert_eq!(MaskWidening::Factor(100).apply(10, 60), 10);
-    }
-
-    #[test]
-    fn deterministic_replay() {
-        let run = || {
-            let mut rt = Runtime::new(RuntimeConfig {
-                jitter_sigma: 0.05,
-                ..RuntimeConfig::default()
-            });
-            let s = rt.create_stream();
-            for i in 0..5 {
-                rt.launch(s, kernel(2.0e6, 30), i);
-            }
-            rt.run_to_idle();
-            (rt.now(), rt.energy_joules().to_bits())
-        };
-        assert_eq!(run(), run());
-    }
-}
+mod tests;

@@ -7,7 +7,7 @@ use krisp_sim::{DispatchCosts, FaultPlan, GpuTopology, SimDuration};
 
 use krisp_serve_core::SentinelConfig;
 
-pub use krisp_serve_core::arrival::Arrival;
+use krisp_serve_core::arrival::Arrival;
 
 /// Where the KRISP policies' per-kernel partition sizes come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

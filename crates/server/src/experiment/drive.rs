@@ -18,10 +18,11 @@ use rand::SeedableRng;
 use krisp_models::{generate_trace, TraceConfig};
 use krisp_obs::{EventKind, Obs};
 use krisp_runtime::{RequiredCusTable, RtEvent, Runtime, RuntimeConfig};
+use krisp_serve_core::arrival::Arrival;
 use krisp_serve_core::{exp_sample, worker_on, AdmissionChain, RequestQueue, Worker};
 use krisp_sim::SimTime;
 
-use super::config::{Arrival, RightSizeSource, ServerConfig};
+use super::config::{RightSizeSource, ServerConfig};
 use super::perfdb::model_right_size;
 use super::result;
 use crate::gpu::{pin, GpuPlan};

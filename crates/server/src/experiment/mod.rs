@@ -20,6 +20,6 @@ pub mod result;
 #[cfg(test)]
 mod tests;
 
-pub use config::{Arrival, RightSizeSource, ServerConfig};
+pub use config::{RightSizeSource, ServerConfig};
 pub use drive::{run_server, run_server_observed};
 pub use perfdb::{model_right_size, oracle_perfdb};

@@ -3,11 +3,10 @@
 
 use krisp_sim::{SimDuration, SimTime};
 
-use super::config::Arrival;
 use super::drive::ServerEngine;
-use crate::metrics::{
-    ExperimentResult, FlowCounters, RobustnessCounters, SentinelCounters, WorkerResult,
-};
+use crate::metrics::{ExperimentResult, WorkerResult};
+use krisp_serve_core::arrival::Arrival;
+use krisp_serve_core::books::{FlowCounters, RobustnessCounters, SentinelCounters};
 use krisp_serve_core::BrownoutController;
 
 /// Consumes the driven engine and balances its books into an

@@ -4,6 +4,7 @@ use krisp::Policy;
 use krisp_models::ModelKind;
 use krisp_obs::{EventKind, Obs};
 use krisp_runtime::{RequiredCusTable, WatchdogConfig};
+use krisp_serve_core::arrival::Arrival;
 use krisp_sim::{FaultPlan, GpuTopology, SimDuration, SimTime};
 
 use crate::metrics::ExperimentResult;

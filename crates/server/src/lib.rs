@@ -43,13 +43,11 @@ pub use cluster::{
     ClusterRobustness, CrashScript, GpuHealth, HedgeConfig, Routing,
 };
 pub use experiment::{
-    model_right_size, oracle_perfdb, run_server, run_server_observed, Arrival, RightSizeSource,
-    ServerConfig,
+    model_right_size, oracle_perfdb, run_server, run_server_observed, RightSizeSource, ServerConfig,
 };
 pub use krisp_serve_core::{
-    BrownoutConfig, BrownoutController, InferenceRequest, RequestQueue, SentinelConfig,
-    SentinelState, TokenBucket, TokenBucketConfig,
+    Arrival, BrownoutConfig, BrownoutController, FlowCounters, InferenceRequest, RequestQueue,
+    RobustnessCounters, SentinelConfig, SentinelCounters, SentinelState, TokenBucket,
+    TokenBucketConfig,
 };
-pub use metrics::{
-    ExperimentResult, FlowCounters, RobustnessCounters, SentinelCounters, WorkerResult,
-};
+pub use metrics::{ExperimentResult, WorkerResult};

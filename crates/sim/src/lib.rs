@@ -63,7 +63,6 @@ pub mod queue;
 pub mod stats;
 pub mod time;
 pub mod topology;
-pub mod tracelog;
 pub mod wg_engine;
 
 mod kernel;
@@ -74,12 +73,12 @@ pub use counters::CuKernelCounters;
 pub use engine::{Engine, KernelId};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use kernel::KernelDesc;
-pub use machine::{DispatchCosts, EnforcementMode, Machine, MachineConfig, MachineError, SimEvent};
+pub use machine::Machine;
+pub use machine_config::{DispatchCosts, EnforcementMode, MachineConfig, MachineError, SimEvent};
 pub use mask::CuMask;
 pub use power::{EnergyMeter, PowerModel};
 pub use queue::{AqlPacket, BarrierPacket, DispatchPacket, QueueId, SignalId};
 pub use stats::Summary;
 pub use time::{SimDuration, SimTime};
 pub use topology::{CuId, GpuTopology, SeId};
-pub use tracelog::{KernelSpan, TraceLog};
 pub use wg_engine::{WgEngine, WgKernelId};

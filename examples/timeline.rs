@@ -7,16 +7,18 @@
 
 use krisp_suite::core::KrispAllocator;
 use krisp_suite::models::{generate_trace, ModelKind, TraceConfig};
-use krisp_suite::runtime::{PartitionMode, RtEvent, Runtime, RuntimeConfig};
+use krisp_suite::obs::{gantt, Obs};
+use krisp_suite::runtime::{PartitionMode, Runtime, RuntimeConfig};
 use krisp_suite::server::oracle_perfdb;
-use krisp_suite::sim::TraceLog;
 
 fn record(mode: PartitionMode, title: &str) {
     let perfdb = oracle_perfdb(&[ModelKind::Albert, ModelKind::Alexnet], &[32]);
+    let (obs, sink) = Obs::recording(1 << 16);
     let mut rt = Runtime::new(RuntimeConfig {
         mode,
         allocator: Box::new(KrispAllocator::isolated()),
         perfdb: std::sync::Arc::new(perfdb),
+        obs,
         ..RuntimeConfig::default()
     });
     // Two streams: a spiky transformer and a fat CNN.
@@ -30,29 +32,16 @@ fn record(mode: PartitionMode, title: &str) {
     for (i, k) in tb.iter().take(8).enumerate() {
         rt.launch(sb, k.clone(), i as u64);
     }
-    let mut log = TraceLog::new();
-    while let Some(ev) = rt.step() {
-        match ev {
-            RtEvent::KernelStarted {
-                stream,
-                tag,
-                at,
-                mask,
-            } => {
-                log.record_start(stream.0, tag, at, mask);
-            }
-            RtEvent::KernelCompleted { stream, tag, at } => {
-                log.record_end(stream.0, tag, at);
-            }
-            RtEvent::TimerFired { .. }
-            | RtEvent::CusFailed { .. }
-            | RtEvent::KernelFailed { .. } => {}
-        }
-    }
+    rt.run_to_idle();
+    let mut sink = sink.lock().expect("obs sink poisoned");
+    assert_eq!(sink.dropped(), 0, "the event ring overflowed");
+    let events = sink.drain();
+    let topo = rt.topology();
+    let (ses, cus_per_se) = (topo.num_ses().into(), topo.cus_per_se().into());
     println!("\n=== {title} ===");
     println!("(rows: CUs top-down; A = albert stream, B = alexnet stream, # = shared)\n");
-    print!("{}", log.gantt(&rt.topology(), 100));
-    let profile = log.occupancy_profile(&rt.topology(), 10);
+    print!("{}", gantt::gantt(&events, ses, cus_per_se, 100));
+    let profile = gantt::occupancy_profile(&events, topo.total_cus(), 10);
     let mean = profile.iter().sum::<f64>() / profile.len() as f64;
     println!("mean occupied fraction: {:.0}%", mean * 100.0);
 }

@@ -3,6 +3,7 @@
 
 use krisp_suite::core::{KrispAllocator, Policy, Profiler};
 use krisp_suite::models::{generate_trace, ModelKind, TraceConfig};
+use krisp_suite::obs::{EventKind, Obs};
 use krisp_suite::runtime::{
     EmulationCosts, PartitionMode, RequiredCusTable, RtEvent, Runtime, RuntimeConfig,
 };
@@ -201,4 +202,68 @@ fn fig16_limit_endpoints_match_krisp_variants() {
         run_server(&as_o, &db).total_inferences(),
         o_ref.total_inferences()
     );
+}
+
+/// Runs the `timeline` example's workload — 60 Albert kernels on one
+/// stream, 8 Alexnet kernels on another — and counts pairs of kernels
+/// from different streams that ran at the same time on a common CU,
+/// read off the recorded `KernelComplete` events.
+fn cross_stream_cu_sharing(mode: PartitionMode) -> usize {
+    let (obs, sink) = Obs::recording(1 << 16);
+    let mut rt = Runtime::new(RuntimeConfig {
+        mode,
+        allocator: Box::new(KrispAllocator::isolated()),
+        perfdb: std::sync::Arc::new(oracle_perfdb(
+            &[ModelKind::Albert, ModelKind::Alexnet],
+            &[32],
+        )),
+        obs,
+        ..RuntimeConfig::default()
+    });
+    for (model, kernels) in [(ModelKind::Albert, 60), (ModelKind::Alexnet, 8)] {
+        let s = rt.create_stream();
+        let trace = generate_trace(model, &TraceConfig::default());
+        for (i, k) in trace.iter().take(kernels).enumerate() {
+            rt.launch(s, k.clone(), i as u64);
+        }
+    }
+    rt.run_to_idle();
+    let sink = sink.lock().unwrap();
+    assert_eq!(sink.dropped(), 0);
+    let spans: Vec<(u32, u64, u64, [u64; 2])> = sink
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::KernelComplete {
+                queue,
+                start_ns,
+                mask,
+                ..
+            } => Some((queue, start_ns, e.ts_ns, mask)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(spans.len(), 68, "every launched kernel completes");
+    let mut shared = 0;
+    for (i, &(qa, sa, ea, ma)) in spans.iter().enumerate() {
+        for &(qb, sb, eb, mb) in &spans[i + 1..] {
+            let overlap_in_time = sa < eb && sb < ea;
+            let common_cu = ma[0] & mb[0] != 0 || ma[1] & mb[1] != 0;
+            if qa != qb && overlap_in_time && common_cu {
+                shared += 1;
+            }
+        }
+    }
+    shared
+}
+
+#[test]
+fn timeline_streams_share_cus_only_under_stream_masking() {
+    // The claim the `timeline` example prints: under KRISP-I the two
+    // streams never share a CU; under stream masking they overlap.
+    assert_eq!(
+        cross_stream_cu_sharing(PartitionMode::KernelScopedNative),
+        0
+    );
+    assert!(cross_stream_cu_sharing(PartitionMode::StreamMasking) > 0);
 }

@@ -1,27 +1,16 @@
 #!/usr/bin/env bash
 # Guard against monolith regrowth: no Rust source file under crates/*/src
-# may exceed MAX_LINES. Two pre-existing files are grandfathered at their
-# current size; they may only shrink (ratchet), never grow.
+# may exceed MAX_LINES. There are no per-file exceptions.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MAX_LINES=900
 
-# file => grandfathered ceiling (current size; ratchet down as they shrink)
-declare -A GRANDFATHERED=(
-  ["crates/sim/src/machine.rs"]=1523
-  ["crates/runtime/src/runtime.rs"]=1511
-)
-
 fail=0
 while IFS= read -r file; do
   lines=$(wc -l <"$file")
-  limit=$MAX_LINES
-  if [[ -n "${GRANDFATHERED[$file]:-}" ]]; then
-    limit=${GRANDFATHERED[$file]}
-  fi
-  if ((lines > limit)); then
-    echo "FAIL: $file is $lines lines (limit $limit)" >&2
+  if ((lines > MAX_LINES)); then
+    echo "FAIL: $file is $lines lines (limit $MAX_LINES)" >&2
     fail=1
   fi
 done < <(find crates -path '*/src/*' -name '*.rs' | sort)
