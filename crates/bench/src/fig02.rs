@@ -19,7 +19,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use krisp::KrispAllocator;
+use krisp::{KrispAllocator, Profiler};
 use krisp_models::{generate_trace, ModelKind, TraceConfig};
 use krisp_runtime::{PartitionMode, RequiredCusTable, RtEvent, Runtime, RuntimeConfig};
 use krisp_server::model_right_size;
@@ -231,8 +231,11 @@ fn run_strategy(strategy: Strategy, perfdb: &RequiredCusTable) -> Outcome {
     }
 }
 
-/// Runs all four strategies and prints the Fig 2 comparison.
-pub fn run(perfdb: &RequiredCusTable) -> Vec<Outcome> {
+/// Runs all four strategies and prints the Fig 2 comparison. The
+/// Required-CUs table covers both batch sizes the worker alternates
+/// between.
+pub fn run() -> Vec<Outcome> {
+    let perfdb = Profiler::default().build_perfdb(&ModelKind::ALL, &[4, 32]);
     header("Fig 2: partition-resize responsiveness under drifting load");
     println!(
         "(squeezenet batch oscillates 32<->4 every {PHASE}; epoch {EPOCH}, reload {RELOAD})\n"
@@ -243,7 +246,7 @@ pub fn run(perfdb: &RequiredCusTable) -> Vec<Outcome> {
     );
     let outcomes: Vec<Outcome> = Strategy::ALL
         .into_iter()
-        .map(|s| run_strategy(s, perfdb))
+        .map(|s| run_strategy(s, &perfdb))
         .collect();
     for o in &outcomes {
         println!(

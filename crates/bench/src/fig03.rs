@@ -40,15 +40,8 @@ fn tail_p95(model: ModelKind, cus: u16) -> f64 {
         .expect("isolated run completes")
 }
 
-/// Runs the Fig 3 sweep for all models and prints selected points.
-pub fn run() -> Vec<Curve> {
-    let (text, curves) = report();
-    print!("{text}");
-    curves
-}
-
 /// Runs the Fig 3 sweep and renders the report without printing.
-pub fn report() -> (String, Vec<Curve>) {
+pub fn report() -> String {
     let mut out = header_text("Fig 3: model sensitivity to CU restriction (batch 32, isolated)");
     let profiler = Profiler::default();
     let mut curves = Vec::new();
@@ -107,5 +100,5 @@ pub fn report() -> (String, Vec<Curve>) {
         curves[0].knee,
         curves.last().expect("8 models").knee
     );
-    (out, curves)
+    out
 }

@@ -30,15 +30,8 @@ fn sparkline(values: &[u16]) -> String {
         .collect()
 }
 
-/// Prints both traces as sparklines and phase statistics.
-pub fn run() -> Vec<Trace> {
-    let (text, traces) = report();
-    print!("{text}");
-    traces
-}
-
 /// Computes both traces and renders the report without printing.
-pub fn report() -> (String, Vec<Trace>) {
+pub fn report() -> String {
     let mut out = header_text("Fig 4: kernel-wise minimum required CUs within an inference pass");
     let mut traces = Vec::new();
     for model in [ModelKind::Albert, ModelKind::Resnext101] {
@@ -64,5 +57,5 @@ pub fn report() -> (String, Vec<Trace>) {
         out,
         "\nshape check: albert is a low band with periodic tall spikes; resnext101 is mostly tall."
     );
-    (out, traces)
+    out
 }

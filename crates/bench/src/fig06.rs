@@ -38,15 +38,8 @@ fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     cov / (vx.sqrt() * vy.sqrt())
 }
 
-/// Profiles the catalogue and prints the Fig 6 evidence.
-pub fn run() -> Vec<Point> {
-    let (text, points) = report();
-    print!("{text}");
-    points
-}
-
 /// Profiles the catalogue and renders the report without printing.
-pub fn report() -> (String, Vec<Point>) {
+pub fn report() -> String {
     let mut out = header_text("Fig 6: min required CUs vs kernel size (a) and input size (b)");
     let profiler = Profiler::default();
     let points: Vec<Point> = crate::parallel_map(catalogue(), |k| {
@@ -107,5 +100,5 @@ pub fn report() -> (String, Vec<Point>) {
         out,
         "shape check: weak size correlation; kernel type dominates (flat-60 asm conv rows)."
     );
-    (out, points)
+    out
 }

@@ -8,11 +8,6 @@ use std::fmt::Write as _;
 
 use crate::header_text;
 
-/// Prints the Fig 7 illustration as ASCII SE maps.
-pub fn run() {
-    print!("{}", report());
-}
-
 /// Renders the Fig 7 illustration without printing.
 pub fn report() -> String {
     let mut out =

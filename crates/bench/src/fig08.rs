@@ -49,15 +49,8 @@ fn measure(policy: DistributionPolicy, cus: u16) -> Point {
     }
 }
 
-/// Runs the Fig 8 sweep and prints latency/energy columns per policy.
-pub fn run() -> Vec<Point> {
-    let (text, points) = report();
-    print!("{text}");
-    points
-}
-
 /// Runs the Fig 8 sweep and renders the report without printing.
-pub fn report() -> (String, Vec<Point>) {
+pub fn report() -> String {
     let mut out =
         header_text("Fig 8: vector-multiply kernel vs active CUs, three distribution policies");
     let mut points = Vec::new();
@@ -125,5 +118,5 @@ pub fn report() -> (String, Vec<Point>) {
         100.0
             * (1.0 - e(DistributionPolicy::Conserved, 40) / e(DistributionPolicy::Distributed, 40))
     );
-    (out, points)
+    out
 }

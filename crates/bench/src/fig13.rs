@@ -4,10 +4,9 @@
 
 use krisp::Policy;
 use krisp_models::ModelKind;
-use krisp_runtime::RequiredCusTable;
 use krisp_sim::stats::geomean;
 
-use crate::{geomean_normalized_rps, header, policy_sweep, Sweep};
+use crate::{geomean_normalized_rps, header, Sweep};
 
 fn print_metric(sweep: &Sweep, title: &str, f: &dyn Fn(&crate::RunRecord) -> String) {
     println!("\n--- {title} ---");
@@ -34,23 +33,20 @@ fn print_metric(sweep: &Sweep, title: &str, f: &dyn Fn(&crate::RunRecord) -> Str
     }
 }
 
-/// Runs (or loads) the batch-32 sweep and prints Fig 13a/b/c plus the
-/// paper's headline claims.
-pub fn run(perfdb: &RequiredCusTable) -> Sweep {
+/// Prints Fig 13a/b/c from the batch-32 sweep, plus the paper's headline
+/// claims.
+pub fn run(sweep: &Sweep) {
     header("Fig 13: throughput / tail latency / energy, 8 models x 5 policies x {1,2,4} workers");
-    let sweep = policy_sweep(32, perfdb);
 
+    print_metric(sweep, "Fig 13a: normalized throughput (x isolated)", &|r| {
+        format!("{:.2}", r.normalized_rps)
+    });
     print_metric(
-        &sweep,
-        "Fig 13a: normalized throughput (x isolated)",
-        &|r| format!("{:.2}", r.normalized_rps),
-    );
-    print_metric(
-        &sweep,
+        sweep,
         "Fig 13b: worst-worker p95 ms ('*' = SLO violation)",
         &|r| format!("{:.0}{}", r.max_p95_ms, if r.slo_ok { "" } else { "*" }),
     );
-    print_metric(&sweep, "Fig 13c: energy per inference (x isolated)", &|r| {
+    print_metric(sweep, "Fig 13c: energy per inference (x isolated)", &|r| {
         format!("{:.2}", r.normalized_energy)
     });
 
@@ -71,8 +67,8 @@ pub fn run(perfdb: &RequiredCusTable) -> Sweep {
             geomean(&all).expect("non-empty")
         );
     }
-    let krisp4 = geomean_normalized_rps(&sweep, Policy::KrispI, 4);
-    let static4 = geomean_normalized_rps(&sweep, Policy::StaticEqual, 4);
+    let krisp4 = geomean_normalized_rps(sweep, Policy::KrispI, 4);
+    let static4 = geomean_normalized_rps(sweep, Policy::StaticEqual, 4);
     println!(
         "  krisp-i vs static-equal at 4 workers: {:.2}x",
         krisp4 / static4
@@ -97,5 +93,4 @@ pub fn run(perfdb: &RequiredCusTable) -> Sweep {
             if w == 2 { 71 } else { 67 }
         );
     }
-    sweep
 }

@@ -3,8 +3,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use krisp::Policy;
-use krisp_runtime::RequiredCusTable;
+use krisp::{Policy, Profiler};
+use krisp_models::ModelKind;
 
 use crate::{geomean_normalized_rps, header, policy_sweep, save_json};
 
@@ -22,11 +22,11 @@ pub struct Cell {
 }
 
 /// Runs the batch-16 and batch-8 sweeps and prints the Fig 14 panels.
-pub fn run(perfdb_by_batch: &dyn Fn(u32) -> RequiredCusTable) -> Vec<Cell> {
+pub fn run() -> Vec<Cell> {
     header("Fig 14: geomean normalized RPS at batch 16 (a) and batch 8 (b)");
     let mut cells = Vec::new();
     for batch in [16u32, 8] {
-        let db = perfdb_by_batch(batch);
+        let db = Profiler::default().build_perfdb(&ModelKind::ALL, &[batch]);
         let sweep = policy_sweep(batch, &db);
         println!("\nbatch {batch}:");
         print!("{:<18}", "policy");

@@ -2,21 +2,23 @@
 //! KRISP paper
 //!
 //! One `krisp-bench <experiment>|all` binary (`src/main.rs`), plus shared
-//! plumbing: result caching under `results/`, the measured Required-CUs
-//! table, the isolated baselines every figure normalizes against, and the
-//! Fig 13 policy sweep that Tables III/IV and Figs 13/14 all draw from.
+//! plumbing: result output under `results/`, the isolated baselines every
+//! figure normalizes against, and the policy sweep that Table IV, Figs
+//! 13/14 and the summary draw from. Every input is computed in the
+//! process; nothing is read back from `results/`.
 //!
 //! | Experiment | Reproduces |
 //! |---|---|
 //! | `tables_1_2` | Tables I & II (mechanism/server taxonomies) |
-//! | `fig01_utilization` | Fig 1 (motivation: utilization ladder) |
-//! | `fig02_reconfiguration` | Fig 2 (resize responsiveness: reload / shadow / KRISP) |
 //! | `fig03_sensitivity` | Fig 3 (model latency/throughput vs active CUs) |
 //! | `table3_models` | Table III (kernels, right-size, isolated p95) |
 //! | `fig04_traces` | Fig 4 (per-kernel min-CU traces) |
 //! | `fig06_kernel_scatter` | Fig 6a/6b (min CU vs kernel/input size) |
 //! | `fig07_distribution` | Fig 7 (distribution-policy layouts) |
 //! | `fig08_policies` | Fig 8 (latency/energy vs CUs per policy) |
+//! | `fig01_utilization` | Fig 1 (motivation: utilization ladder) |
+//! | `fig02_reconfiguration` | Fig 2 (resize responsiveness: reload / shadow / KRISP) |
+//! | `validation` | fluid-vs-discrete execution-model cross-check |
 //! | `fig12_emulation` | §V-B emulation-overhead accounting |
 //! | `fig13_main` | Fig 13a/b/c (throughput, tail latency, energy) |
 //! | `table4_concurrency` | Table IV (max workers without SLO violation) |
@@ -24,12 +26,11 @@
 //! | `fig15_mixed` | Fig 15 (mixed-model pair throughput) |
 //! | `fig16_overlap` | Fig 16 (overlap-limit sensitivity) |
 //! | `ablations` | design-choice ablations (granularity, distribution, costs, γ) |
-//! | `validation` | fluid-vs-discrete execution-model cross-check |
-//! | `robustness_faults` | fault-injection scenarios (stragglers / CU loss / crash) |
-//! | `overload_brownout` | overload guardrails: goodput sweeps, sentinel on/off |
 //! | `cluster_scaling` | multi-GPU scale-out per policy |
 //! | `robustness` | headline comparisons across seeds |
-//! | `summary` | headline claims recomputed from `results/*.json` |
+//! | `robustness_faults` | fault-injection scenarios (stragglers / CU loss / crash) |
+//! | `overload_brownout` | overload guardrails: goodput sweeps, sentinel on/off |
+//! | `summary` | headline claims recomputed from the batch-32 sweep |
 //! | `all` | everything above, in order |
 
 #![forbid(unsafe_code)]
@@ -64,7 +65,7 @@ use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 
-use krisp::{Policy, Profiler};
+use krisp::Policy;
 use krisp_models::ModelKind;
 use krisp_runtime::RequiredCusTable;
 use krisp_server::{run_server, ServerConfig};
@@ -134,6 +135,13 @@ pub fn save_traces() -> bool {
     std::env::var_os("KRISP_SAVE_TRACES").is_some_and(|v| v == "1")
 }
 
+/// True when `KRISP_SMOKE` is set to anything but `0`: short horizons
+/// for the fault and overload benches in CI. `krisp-chaos` reads the
+/// variable the same way.
+pub fn smoke() -> bool {
+    std::env::var("KRISP_SMOKE").is_ok_and(|v| v != "0")
+}
+
 /// Saves a serializable value as pretty JSON under `results/`.
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
     let path = results_dir().join(name);
@@ -143,50 +151,6 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) {
     )
     .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     eprintln!("[saved {}]", path.display());
-}
-
-/// Loads a previously saved JSON result, if present.
-pub fn load_json<T: for<'de> Deserialize<'de>>(name: &str) -> Option<T> {
-    let path = results_dir().join(name);
-    let text = fs::read_to_string(path).ok()?;
-    serde_json::from_str(&text).ok()
-}
-
-/// The measured Required-CUs table for all eight models at the given
-/// batch sizes, built by the real profiling sweep and cached on disk
-/// (it is an installation-time artifact in the paper's deployment).
-pub fn measured_perfdb(batches: &[u32]) -> RequiredCusTable {
-    let tag: Vec<String> = batches.iter().map(u32::to_string).collect();
-    let name = format!("perfdb_b{}.json", tag.join("_"));
-    let path = results_dir().join(&name);
-    if let Ok(table) = RequiredCusTable::load(&path) {
-        if !table.is_empty() {
-            return table;
-        }
-    }
-    eprintln!("[profiling kernels for batches {batches:?} — cached to {name}]");
-    // Same result as Profiler::build_perfdb, parallelized over kernels.
-    let profiler = Profiler::default();
-    let mut seen = std::collections::HashSet::new();
-    let mut kernels = Vec::new();
-    for &kind in &ModelKind::ALL {
-        for &batch in batches {
-            for k in
-                krisp_models::generate_trace(kind, &krisp_models::TraceConfig::with_batch(batch))
-            {
-                if seen.insert(k.profile_key()) {
-                    kernels.push(k);
-                }
-            }
-        }
-    }
-    let profiles = parallel_map(kernels, |k| profiler.profile_kernel(&k));
-    let table: RequiredCusTable = profiles
-        .into_iter()
-        .map(|p| (p.kernel, p.min_cus))
-        .collect();
-    table.save(&path).expect("cache perfdb");
-    table
 }
 
 /// Isolated-baseline metrics for one model: a single worker with the
@@ -261,7 +225,7 @@ impl Sweep {
     }
 }
 
-/// Runs (or loads from cache) the isolated baseline of a model.
+/// Runs the isolated baseline of a model.
 pub fn isolated_baseline(model: ModelKind, batch: u32, perfdb: &RequiredCusTable) -> Baseline {
     let cfg = ServerConfig::closed_loop(Policy::MpsDefault, vec![model], batch);
     let r = run_server(&cfg, perfdb);
@@ -272,16 +236,10 @@ pub fn isolated_baseline(model: ModelKind, batch: u32, perfdb: &RequiredCusTable
     }
 }
 
-/// Runs the full Fig 13-style sweep at one batch size, caching to
-/// `results/sweep_b{batch}.json`. Tables III/IV and Figs 13/14 read
-/// from this.
+/// Runs the full Fig 13-style sweep at one batch size and saves it as
+/// `results/sweep_b{batch}.json`. Table IV, Figs 13/14 and the summary
+/// read from this.
 pub fn policy_sweep(batch: u32, perfdb: &RequiredCusTable) -> Sweep {
-    let cache = format!("sweep_b{batch}.json");
-    if let Some(sweep) = load_json::<Sweep>(&cache) {
-        if !sweep.records.is_empty() {
-            return sweep;
-        }
-    }
     eprintln!("[running policy sweep at batch {batch} — parallel over host cores]");
     let baselines: Vec<(ModelKind, Baseline)> = parallel_map(ModelKind::ALL.to_vec(), |model| {
         let b = isolated_baseline(model, batch, perfdb);
@@ -337,7 +295,7 @@ pub fn policy_sweep(batch: u32, perfdb: &RequiredCusTable) -> Sweep {
         baselines,
         records,
     };
-    save_json(&cache, &sweep);
+    save_json(&format!("sweep_b{batch}.json"), &sweep);
     sweep
 }
 
@@ -467,18 +425,5 @@ mod tests {
         assert!(sweep.record(ModelKind::Vgg19, Policy::KrispO, 3).is_none());
         assert_eq!(sweep.baseline(ModelKind::Albert).rps, 1.0);
         assert_eq!(baseline_p95_map(&sweep)[&ModelKind::Vgg19], 10.0);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let rec = Baseline {
-            rps: 1.0,
-            p95_ms: 2.0,
-            energy_per_inference_j: 3.0,
-        };
-        save_json("test_baseline.json", &rec);
-        let back: Baseline = load_json("test_baseline.json").unwrap();
-        assert_eq!(back, rec);
-        let _ = std::fs::remove_file(results_dir().join("test_baseline.json"));
     }
 }

@@ -2,109 +2,109 @@
 //! the paper (see the crate docs for the experiment names), or every
 //! one of them in order.
 
+use std::sync::OnceLock;
+
+use krisp::Profiler;
 use krisp_bench::*;
 use krisp_models::ModelKind;
 use krisp_runtime::RequiredCusTable;
 
-fn db32() -> RequiredCusTable {
-    measured_perfdb(&[32])
+/// Inputs several experiments share, each built at most once per
+/// process.
+#[derive(Default)]
+struct Inputs {
+    db32: OnceLock<RequiredCusTable>,
+    sweep32: OnceLock<Sweep>,
 }
 
-fn db_4_32() -> RequiredCusTable {
-    measured_perfdb(&[4, 32])
-}
+impl Inputs {
+    /// The measured Required-CUs table of all eight models at batch 32.
+    fn db32(&self) -> &RequiredCusTable {
+        self.db32
+            .get_or_init(|| Profiler::default().build_perfdb(&ModelKind::ALL, &[32]))
+    }
 
-/// The measured table, or the oracle one under `KRISP_SMOKE` (the
-/// short CI variants of the fault and overload benches).
-fn smoke_db() -> RequiredCusTable {
-    if robustness_faults::smoke() {
-        krisp_server::oracle_perfdb(&[ModelKind::Squeezenet], &[32])
-    } else {
-        db32()
+    /// The batch-32 policy sweep behind Fig 13, Table IV and the summary.
+    fn sweep32(&self) -> &Sweep {
+        self.sweep32.get_or_init(|| policy_sweep(32, self.db32()))
     }
 }
 
-/// Every experiment by name.
-const EXPERIMENTS: [(&str, fn()); 22] = [
-    ("tables_1_2", tables12::run),
-    ("fig01_utilization", || _ = fig01::run(&db32())),
-    ("fig02_reconfiguration", || _ = fig02::run(&db_4_32())),
-    ("fig03_sensitivity", || _ = fig03::run()),
-    ("table3_models", || _ = table3::run()),
-    ("fig04_traces", || _ = fig04::run()),
-    ("fig06_kernel_scatter", || _ = fig06::run()),
-    ("fig07_distribution", fig07::run),
-    ("fig08_policies", || _ = fig08::run()),
-    ("fig12_emulation", || _ = fig12::run(&db32())),
-    ("fig13_main", || _ = fig13::run(&db32())),
-    ("table4_concurrency", || _ = table4::run(&db32())),
-    ("fig14_batch", || _ = fig14::run(&|b| measured_perfdb(&[b]))),
-    ("fig15_mixed", || _ = fig15::run(&db32())),
-    ("fig16_overlap", || _ = fig16::run(&db32())),
-    ("ablations", || _ = ablation::run(&db32())),
-    ("validation", || _ = validation::run()),
-    ("cluster_scaling", || _ = cluster_scaling::run(&db32())),
-    ("robustness", || _ = robustness::run(&db32())),
-    ("robustness_faults", || {
-        _ = robustness_faults::run(&smoke_db())
-    }),
-    ("overload_brownout", || {
-        _ = overload_brownout::run(&smoke_db())
-    }),
-    ("summary", summary::run),
+/// How an experiment produces its output.
+enum Run {
+    /// Renders its whole report from no shared input; `all` computes
+    /// these in parallel up front and prints each at its slot.
+    Report(fn() -> String),
+    /// Prints as it goes, drawing on the shared inputs.
+    Live(fn(&Inputs)),
+}
+
+/// Every experiment by name, in the order `all` prints them.
+const EXPERIMENTS: [(&str, Run); 22] = [
+    ("tables_1_2", Run::Report(tables12::report)),
+    ("fig03_sensitivity", Run::Report(fig03::report)),
+    ("table3_models", Run::Report(table3::report)),
+    ("fig04_traces", Run::Report(fig04::report)),
+    ("fig06_kernel_scatter", Run::Report(fig06::report)),
+    ("fig07_distribution", Run::Report(fig07::report)),
+    ("fig08_policies", Run::Report(fig08::report)),
+    ("fig01_utilization", Run::Live(|i| _ = fig01::run(i.db32()))),
+    ("fig02_reconfiguration", Run::Live(|_| _ = fig02::run())),
+    ("validation", Run::Report(validation::report)),
+    ("fig12_emulation", Run::Live(|i| _ = fig12::run(i.db32()))),
+    ("fig13_main", Run::Live(|i| fig13::run(i.sweep32()))),
+    (
+        "table4_concurrency",
+        Run::Live(|i| _ = table4::run(i.sweep32())),
+    ),
+    ("fig14_batch", Run::Live(|_| _ = fig14::run())),
+    ("fig15_mixed", Run::Live(|i| _ = fig15::run(i.db32()))),
+    ("fig16_overlap", Run::Live(|i| _ = fig16::run(i.db32()))),
+    ("ablations", Run::Live(|i| _ = ablation::run(i.db32()))),
+    (
+        "cluster_scaling",
+        Run::Live(|i| _ = cluster_scaling::run(i.db32())),
+    ),
+    ("robustness", Run::Live(|i| _ = robustness::run(i.db32()))),
+    (
+        "robustness_faults",
+        Run::Live(|i| _ = robustness_faults::run(i.db32())),
+    ),
+    (
+        "overload_brownout",
+        Run::Live(|i| _ = overload_brownout::run(i.db32())),
+    ),
+    ("summary", Run::Live(|i| summary::run(i.sweep32()))),
 ];
 
 /// Regenerates every table and figure of the paper, in order.
-///
-/// Experiments that need no measured perfdb are independent of each
-/// other, so their `report()` functions run through `parallel_map` and
-/// the rendered reports are printed in the original sequential order.
-/// Everything downstream of `measured_perfdb` stays sequential: those
-/// experiments share on-disk profile caches and feed the summary.
-fn all() {
-    type Job = Box<dyn FnOnce() -> String + Send>;
-    let jobs: Vec<Job> = vec![
-        Box::new(tables12::report),
-        Box::new(|| fig03::report().0),
-        Box::new(|| table3::report().0),
-        Box::new(|| fig04::report().0),
-        Box::new(|| fig06::report().0),
-        Box::new(fig07::report),
-        Box::new(|| fig08::report().0),
-        Box::new(|| validation::report().0),
-    ];
-    let mut reports = parallel_map(jobs, |job| job());
-    // Validation prints at its original slot, after fig 1/2.
-    let validation_report = reports.pop().expect("eight phase-A jobs");
-    for report in &reports {
-        print!("{report}");
+fn all(inputs: &Inputs) {
+    let jobs: Vec<fn() -> String> = EXPERIMENTS
+        .iter()
+        .filter_map(|(_, run)| match run {
+            Run::Report(report) => Some(*report),
+            Run::Live(_) => None,
+        })
+        .collect();
+    let mut reports = parallel_map(jobs, |report| report()).into_iter();
+    for (_, run) in &EXPERIMENTS {
+        match run {
+            Run::Report(_) => print!("{}", reports.next().expect("one report per entry")),
+            Run::Live(run) => run(inputs),
+        }
     }
-    let db = db32();
-    fig01::run(&db);
-    fig02::run(&db_4_32());
-    print!("{validation_report}");
-    fig12::run(&db);
-    fig13::run(&db);
-    table4::run(&db);
-    fig14::run(&|b| measured_perfdb(&[b]));
-    fig15::run(&db);
-    fig16::run(&db);
-    ablation::run(&db);
-    cluster_scaling::run(&db);
-    robustness::run(&db);
-    robustness_faults::run(&db);
-    overload_brownout::run(&db);
-    summary::run();
     println!("\nall experiments regenerated; JSON results under results/");
 }
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_default();
+    let inputs = Inputs::default();
     if name == "all" {
-        return all();
+        return all(&inputs);
     }
     match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
-        Some((_, run)) => run(),
+        Some((_, Run::Report(report))) => print!("{}", report()),
+        Some((_, Run::Live(run))) => run(&inputs),
         None => {
             let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
             eprintln!("usage: krisp-bench <{}|all>", names.join("|"));

@@ -62,11 +62,6 @@ pub struct Row {
     pub transitions: u64,
 }
 
-/// True when `KRISP_SMOKE` is set: short horizons for CI.
-pub fn smoke() -> bool {
-    std::env::var_os("KRISP_SMOKE").is_some()
-}
-
 fn base_cfg(policy: Policy, duration: SimDuration) -> ServerConfig {
     let mut cfg = ServerConfig::closed_loop(policy, vec![ModelKind::Squeezenet; WORKERS], 32);
     cfg.warmup = Some(SimDuration::from_millis(40));
@@ -138,7 +133,7 @@ fn cell(
 /// sentinel-on KRISP-I delivers strictly more goodput than sentinel-off
 /// while holding p95 under the deadline.
 pub fn run(perfdb: &RequiredCusTable) -> Vec<Row> {
-    let duration = if smoke() {
+    let duration = if crate::smoke() {
         SimDuration::from_millis(800)
     } else {
         SimDuration::from_secs(2)

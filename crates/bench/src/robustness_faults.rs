@@ -49,12 +49,6 @@ pub struct Row {
 
 const POLICIES: [Policy; 3] = [Policy::MpsDefault, Policy::StaticEqual, Policy::KrispI];
 
-/// True when `KRISP_SMOKE` is set: short horizons for the CI fault-smoke
-/// job.
-pub fn smoke() -> bool {
-    std::env::var_os("KRISP_SMOKE").is_some()
-}
-
 fn server_cfg(policy: Policy, duration: SimDuration) -> ServerConfig {
     let mut cfg = ServerConfig::closed_loop(policy, vec![ModelKind::Squeezenet; 4], 32);
     cfg.warmup = Some(SimDuration::from_millis(40));
@@ -167,7 +161,7 @@ fn save_fault_trace(duration: SimDuration, perfdb: &RequiredCusTable) {
 
 /// Runs the three scenarios for the three policies.
 pub fn run(perfdb: &RequiredCusTable) -> Vec<Row> {
-    let (duration, horizon) = if smoke() {
+    let (duration, horizon) = if crate::smoke() {
         (SimDuration::from_millis(300), SimDuration::from_millis(800))
     } else {
         (SimDuration::from_millis(1500), SimDuration::from_secs(2))

@@ -1,6 +1,6 @@
-//! Digest of all saved experiment results: recomputes the paper's
-//! headline claims from `results/*.json` and writes a markdown fidelity
-//! report to `results/SUMMARY.md`.
+//! Digest of the reproduction: recomputes the paper's headline claims
+//! from the batch-32 policy sweep and writes a markdown fidelity report
+//! to `results/SUMMARY.md`.
 
 use std::fmt::Write as _;
 
@@ -8,7 +8,7 @@ use krisp::Policy;
 use krisp_models::{paper_profile, ModelKind};
 use krisp_sim::stats::geomean;
 
-use crate::{geomean_normalized_rps, header, load_json, max_concurrency, results_dir, Sweep};
+use crate::{geomean_normalized_rps, header, max_concurrency, results_dir, Sweep};
 
 /// One line of the digest.
 #[derive(Debug, Clone)]
@@ -29,10 +29,8 @@ fn push(claims: &mut Vec<Claim>, paper: &str, measured: String, holds: bool) {
     });
 }
 
-/// Builds the digest from the cached batch-32 sweep (run `krisp-bench
-/// fig13_main` or `krisp-bench all` first). Returns `None` if no sweep has been recorded yet.
-pub fn digest() -> Option<Vec<Claim>> {
-    let sweep: Sweep = load_json("sweep_b32.json")?;
+/// Builds the digest from the batch-32 sweep.
+pub fn digest(sweep: &Sweep) -> Vec<Claim> {
     let mut claims = Vec::new();
 
     // Table III via the sweep's baselines.
@@ -85,8 +83,8 @@ pub fn digest() -> Option<Vec<Claim>> {
         format!("{best:.2}x"),
         best >= 3.3,
     );
-    let ratio = geomean_normalized_rps(&sweep, Policy::KrispI, 4)
-        / geomean_normalized_rps(&sweep, Policy::StaticEqual, 4);
+    let ratio = geomean_normalized_rps(sweep, Policy::KrispI, 4)
+        / geomean_normalized_rps(sweep, Policy::StaticEqual, 4);
     push(
         &mut claims,
         "1.22x over static-equal at 4 workers",
@@ -116,10 +114,10 @@ pub fn digest() -> Option<Vec<Claim>> {
         .filter(|&&m| {
             let best = Policy::ALL
                 .iter()
-                .map(|&p| max_concurrency(&sweep, m, p))
+                .map(|&p| max_concurrency(sweep, m, p))
                 .max()
                 .expect("non-empty");
-            max_concurrency(&sweep, m, Policy::KrispI) == best
+            max_concurrency(sweep, m, Policy::KrispI) == best
         })
         .count();
     push(
@@ -128,16 +126,13 @@ pub fn digest() -> Option<Vec<Claim>> {
         format!("best-or-tied in {dominant}/8 rows"),
         dominant >= 6,
     );
-    Some(claims)
+    claims
 }
 
 /// Prints the digest and writes `results/SUMMARY.md`.
-pub fn run() {
+pub fn run(sweep: &Sweep) {
     header("Summary: paper claims vs this reproduction");
-    let Some(claims) = digest() else {
-        println!("no cached sweep found — run `krisp-bench fig13_main` or `krisp-bench all` first");
-        return;
-    };
+    let claims = digest(sweep);
     let mut md = String::from(
         "# Reproduction summary\n\n| paper claim | measured | holds |\n|---|---|---|\n",
     );

@@ -33,15 +33,8 @@ pub struct Row {
     pub paper_p95_ms: f64,
 }
 
-/// Regenerates Table III and prints paper-vs-measured.
-pub fn run() -> Vec<Row> {
-    let (text, rows) = report();
-    print!("{text}");
-    rows
-}
-
 /// Regenerates Table III and renders the report without printing.
-pub fn report() -> (String, Vec<Row>) {
+pub fn report() -> String {
     let mut out = header_text(
         "Table III: models, kernel counts, right-size, isolated 95% latency (batch 32)",
     );
@@ -84,5 +77,5 @@ pub fn report() -> (String, Vec<Row>) {
         });
     }
     save_json("table3.json", &rows);
-    (out, rows)
+    out
 }

@@ -5,9 +5,8 @@ use serde::{Deserialize, Serialize};
 
 use krisp::Policy;
 use krisp_models::ModelKind;
-use krisp_runtime::RequiredCusTable;
 
-use crate::{header, max_concurrency, policy_sweep, save_json};
+use crate::{header, max_concurrency, save_json, Sweep};
 
 /// One Table IV row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -19,9 +18,8 @@ pub struct Row {
 }
 
 /// Computes Table IV from the batch-32 sweep.
-pub fn run(perfdb: &RequiredCusTable) -> Vec<Row> {
+pub fn run(sweep: &Sweep) -> Vec<Row> {
     header("Table IV: max concurrent models without SLO violation (bold = per-row best)");
-    let sweep = policy_sweep(32, perfdb);
     print!("{:<12}", "model");
     for p in Policy::ALL {
         print!(" {:>17}", p.name());
@@ -31,7 +29,7 @@ pub fn run(perfdb: &RequiredCusTable) -> Vec<Row> {
     for model in ModelKind::ALL {
         let per_policy: Vec<(Policy, usize)> = Policy::ALL
             .into_iter()
-            .map(|p| (p, max_concurrency(&sweep, model, p)))
+            .map(|p| (p, max_concurrency(sweep, model, p)))
             .collect();
         let best = per_policy.iter().map(|&(_, c)| c).max().expect("non-empty");
         print!("{:<12}", model.name());

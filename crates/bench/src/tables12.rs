@@ -134,11 +134,6 @@ pub const TABLE2: [ServerRow; 4] = [
     },
 ];
 
-/// Prints both taxonomy tables.
-pub fn run() {
-    print!("{}", report());
-}
-
 /// Renders both taxonomy tables without printing.
 pub fn report() -> String {
     let mut out = header_text("Table I: GPU spatial partitioning techniques");

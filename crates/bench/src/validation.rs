@@ -41,16 +41,8 @@ fn discrete_us(work: f64, parallelism: u16, mask: CuMask, topo: &GpuTopology) ->
     e.run_to_idle()[0].0.as_nanos() as f64 / 1e3
 }
 
-/// Sweeps a device-wide kernel under every policy and CU count with both
-/// backends, printing the agreement statistics.
-pub fn run() -> Vec<Point> {
-    let (text, points) = report();
-    print!("{text}");
-    points
-}
-
 /// Runs the validation sweep and renders the report without printing.
-pub fn report() -> (String, Vec<Point>) {
+pub fn report() -> String {
     let mut out = header_text("Model validation: fluid rates vs discrete workgroup scheduling");
     let topo = GpuTopology::MI50;
     let (work, parallelism) = (6.0e6, 60u16);
@@ -99,7 +91,7 @@ pub fn report() -> (String, Vec<Point>) {
          discretization wave; the fluid model never *under*-estimates latency.",
         worst.policy, worst.cus, worst.discrete_us, worst.fluid_us
     );
-    (out, points)
+    out
 }
 
 #[cfg(test)]

@@ -62,14 +62,13 @@ pub struct ExperimentResult {
     pub total_cus: u16,
     /// Per-worker results.
     pub workers: Vec<WorkerResult>,
-    /// Degradation counters (`None` in results cached before fault
-    /// support existed — equivalent to a clean run).
+    /// Degradation counters. `run_server` always fills them; `None`,
+    /// as in JSON without the key, reads as a clean run.
     pub robustness: Option<RobustnessCounters>,
-    /// Whole-run request-flow accounting (`None` in results cached
-    /// before the sentinel existed).
+    /// Whole-run request-flow accounting. `run_server` always fills it.
     pub flow: Option<FlowCounters>,
     /// Sentinel guardrail activity (`None` when no sentinel was
-    /// configured or the result predates it).
+    /// configured).
     pub sentinel: Option<SentinelCounters>,
 }
 
@@ -112,8 +111,8 @@ impl ExperimentResult {
         self.service_cu_seconds / (self.total_cus as f64 * self.window.as_secs_f64())
     }
 
-    /// The run's degradation counters (clean defaults when the result
-    /// predates fault support).
+    /// The run's degradation counters (clean defaults when
+    /// [`ExperimentResult::robustness`] is `None`).
     pub fn robustness(&self) -> RobustnessCounters {
         self.robustness.clone().unwrap_or_default()
     }
@@ -203,8 +202,8 @@ mod tests {
     fn missing_robustness_reads_as_clean() {
         let r = result(vec![vec![1.0]]);
         assert!(r.robustness().is_clean());
-        // Round-trip through the serialized form: pre-fault cached JSON
-        // has no `robustness` key, which must deserialize as None.
+        // Round-trip through the serialized form: JSON without a
+        // `robustness` key must deserialize as None.
         let v = r.to_value();
         let back = <ExperimentResult as Deserialize>::from_value(&v).unwrap();
         assert_eq!(back, r);
