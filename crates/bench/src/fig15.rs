@@ -11,6 +11,7 @@ use krisp_runtime::RequiredCusTable;
 use krisp_server::{run_server, ServerConfig};
 use krisp_sim::stats::BoxStats;
 
+use crate::summary::{print_checks, Claim};
 use crate::{header, isolated_baseline, save_json};
 
 /// One pair × policy observation.
@@ -65,6 +66,7 @@ pub fn run(perfdb: &RequiredCusTable) -> Vec<PairRun> {
         "\n{:<18} {:>7} {:>7} {:>7} {:>7} {:>7}",
         "policy", "min", "q1", "median", "q3", "max"
     );
+    let mut medians = Vec::new();
     for policy in Policy::ALL {
         let vals: Vec<f64> = runs
             .iter()
@@ -81,7 +83,61 @@ pub fn run(perfdb: &RequiredCusTable) -> Vec<PairRun> {
             b.q3,
             b.max
         );
+        medians.push((policy, b.median));
     }
-    println!("\nshape check: krisp-i and model-right-size beat mps-default; krisp-i >= model-right-size.");
+    let median = |policy| {
+        medians
+            .iter()
+            .find(|&&(p, _)| p == policy)
+            .map(|&(_, m)| m)
+            .expect("every policy ran")
+    };
+    print_checks(&shape_checks(
+        median(Policy::MpsDefault),
+        median(Policy::ModelRightSize),
+        median(Policy::KrispI),
+    ));
     runs
+}
+
+/// Fig 15's ordering, tested on the per-policy medians of normalized
+/// throughput: KRISP-I and model-right-size beat MPS-default, and KRISP-I
+/// is at least model-right-size.
+pub fn shape_checks(mps_default: f64, model_right_size: f64, krisp_i: f64) -> Vec<Claim> {
+    let claim =
+        |paper, a: f64, b: f64, holds| Claim::new(paper, format!("median {a:.3} vs {b:.3}"), holds);
+    vec![
+        claim(
+            "krisp-i beats mps-default",
+            krisp_i,
+            mps_default,
+            krisp_i > mps_default,
+        ),
+        claim(
+            "model-right-size beats mps-default",
+            model_right_size,
+            mps_default,
+            model_right_size > mps_default,
+        ),
+        claim(
+            "krisp-i >= model-right-size",
+            krisp_i,
+            model_right_size,
+            krisp_i >= model_right_size,
+        ),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_medians_fail_both_krisp_i_claims() {
+        // The medians of `results/fig15.json`.
+        let claims = shape_checks(0.8153971700342668, 0.8634434644303066, 0.8043464599916212);
+        let holds: Vec<bool> = claims.iter().map(|c| c.holds).collect();
+        assert_eq!(holds, [false, true, false]);
+        assert_eq!(claims[0].measured, "median 0.804 vs 0.815");
+    }
 }

@@ -21,12 +21,28 @@ pub struct Claim {
     pub holds: bool,
 }
 
+impl Claim {
+    /// A claim with the numbers it was tested on.
+    pub fn new(paper: &str, measured: String, holds: bool) -> Claim {
+        Claim {
+            paper: paper.to_string(),
+            measured,
+            holds,
+        }
+    }
+}
+
 fn push(claims: &mut Vec<Claim>, paper: &str, measured: String, holds: bool) {
-    claims.push(Claim {
-        paper: paper.to_string(),
-        measured,
-        holds,
-    });
+    claims.push(Claim::new(paper, measured, holds));
+}
+
+/// Prints an experiment's shape checks: each claim, the numbers it
+/// compared, and whether it holds.
+pub fn print_checks(claims: &[Claim]) {
+    println!("\nshape checks:");
+    for c in claims {
+        println!("  {}: {}: {}", c.paper, c.measured, c.holds);
+    }
 }
 
 /// Builds the digest from the batch-32 sweep.

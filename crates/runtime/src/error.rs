@@ -1,10 +1,10 @@
 //! Typed errors for the serving hot path.
 //!
-//! Faults must degrade service, not kill the process: a perfdb miss, a
-//! flaky mask IOCTL, or a straggling kernel each have a defined fallback
-//! (full partition, stream-scoped masking, bounded retry). [`KrispError`]
-//! names every such degradation so run results can surface *what* went
-//! wrong instead of a panic backtrace.
+//! Faults must degrade service, not kill the process: a stale perfdb
+//! entry, a flaky mask IOCTL, or a straggling kernel each have a defined
+//! fallback (full partition, stream-scoped masking, bounded retry).
+//! [`KrispError`] names every such degradation so run results can
+//! surface *what* went wrong instead of a panic backtrace.
 
 use std::error::Error;
 use std::fmt;
@@ -17,12 +17,6 @@ use krisp_sim::MachineError;
 /// error counters deterministically.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum KrispError {
-    /// The Required-CUs table has no entry for a kernel that requested
-    /// right-sizing; the runtime fell back to the full device.
-    PerfDbMiss {
-        /// The unprofiled kernel's name.
-        kernel: String,
-    },
     /// A profiled entry claims more CUs than the device has (a stale
     /// profile from different hardware); the runtime fell back to the
     /// full device.
@@ -61,25 +55,6 @@ pub enum KrispError {
         /// The client's correlation tag.
         tag: u64,
     },
-    /// A bounded request queue was full and the request was shed.
-    QueueFull {
-        /// The rejected request's id.
-        request_id: u64,
-        /// The queue depth at rejection time.
-        depth: u32,
-    },
-    /// A request missed its deadline before (or while) being served.
-    DeadlineExceeded {
-        /// The timed-out request's id.
-        request_id: u64,
-        /// Nanoseconds waited before the deadline fired.
-        waited_ns: u64,
-    },
-    /// No healthy worker was available to (re)place a request on.
-    WorkerUnhealthy {
-        /// The GPU/worker index.
-        gpu: u32,
-    },
     /// An invariant the runtime relies on was violated (a bug, not an
     /// injected fault) — reported instead of panicking on the hot path.
     InternalState {
@@ -94,30 +69,9 @@ pub enum KrispError {
     },
 }
 
-impl KrispError {
-    /// A short stable label for metrics/event grouping.
-    pub fn label(&self) -> &'static str {
-        match self {
-            KrispError::PerfDbMiss { .. } => "perfdb_miss",
-            KrispError::StalePerfDbEntry { .. } => "perfdb_stale",
-            KrispError::MaskApply { .. } => "mask_apply",
-            KrispError::KernelTimeout { .. } => "kernel_timeout",
-            KrispError::RetryBudgetExhausted { .. } => "retry_budget_exhausted",
-            KrispError::QueueFull { .. } => "queue_full",
-            KrispError::DeadlineExceeded { .. } => "deadline_exceeded",
-            KrispError::WorkerUnhealthy { .. } => "worker_unhealthy",
-            KrispError::InternalState { .. } => "internal_state",
-            KrispError::Machine { .. } => "machine",
-        }
-    }
-}
-
 impl fmt::Display for KrispError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            KrispError::PerfDbMiss { kernel } => {
-                write!(f, "no Required-CUs entry for kernel `{kernel}`")
-            }
             KrispError::StalePerfDbEntry {
                 kernel,
                 profiled,
@@ -145,19 +99,6 @@ impl fmt::Display for KrispError {
                 f,
                 "kernel tag {tag} on stream{stream} abandoned: retry budget exhausted"
             ),
-            KrispError::QueueFull { request_id, depth } => {
-                write!(f, "request {request_id} shed: queue full at depth {depth}")
-            }
-            KrispError::DeadlineExceeded {
-                request_id,
-                waited_ns,
-            } => write!(
-                f,
-                "request {request_id} missed its deadline after {waited_ns} ns"
-            ),
-            KrispError::WorkerUnhealthy { gpu } => {
-                write!(f, "worker gpu{gpu} is unhealthy")
-            }
             KrispError::InternalState { detail } => {
                 write!(f, "internal state violation: {detail}")
             }
@@ -190,27 +131,19 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("stream3"));
         assert!(s.contains("4 attempts"));
-        assert_eq!(e.label(), "mask_apply");
     }
 
     #[test]
     fn machine_errors_convert() {
         let e: KrispError = MachineError::UnknownQueue(QueueId(7)).into();
         assert!(e.to_string().contains("q7"));
-        assert_eq!(e.label(), "machine");
     }
 
     #[test]
     fn errors_are_hashable_and_eq() {
         use std::collections::HashSet;
         let mut set = HashSet::new();
-        set.insert(KrispError::QueueFull {
-            request_id: 1,
-            depth: 8,
-        });
-        assert!(set.contains(&KrispError::QueueFull {
-            request_id: 1,
-            depth: 8
-        }));
+        set.insert(KrispError::RetryBudgetExhausted { stream: 1, tag: 8 });
+        assert!(set.contains(&KrispError::RetryBudgetExhausted { stream: 1, tag: 8 }));
     }
 }

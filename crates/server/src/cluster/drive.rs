@@ -19,14 +19,16 @@ use krisp::DistributionPolicy;
 use krisp_models::TraceConfig;
 use krisp_obs::{EventBus, EventKind, Obs};
 use krisp_runtime::{KrispError, RequiredCusTable, RtEvent, Runtime, RuntimeConfig};
-use krisp_serve_core::{poisson_arrivals, worker_on, InferenceRequest, RequestQueue, Worker};
 use krisp_sim::{MachineError, SimTime};
 
 use super::config::{ClusterConfig, Routing};
 use super::health::{apply_crash, finish_restart, maybe_begin_restart, note_failure, GpuHealth};
 use super::hedge::{fire_hedge, HedgeState};
 use super::result::{self, ClusterResult, ClusterRobustness};
+use crate::arrival::poisson_arrivals;
 use crate::gpu::GpuPlan;
+use crate::queue::{InferenceRequest, RequestQueue};
+use crate::worker::{worker_on, Worker};
 
 pub(super) struct Gpu {
     pub(super) rt: Runtime,

@@ -2,7 +2,6 @@
 //! restart, and scripted crashes.
 
 use krisp_obs::EventKind;
-use krisp_serve_core::Worker;
 use krisp_sim::{SimDuration, SimTime};
 
 use super::config::{ClusterConfig, CrashScript};
@@ -10,6 +9,7 @@ use super::drive::{error_texts, retry_or_drop, try_start, Gpu, TOKEN_RESTART};
 use super::hedge::HedgeState;
 use super::result::ClusterRobustness;
 use crate::gpu::GpuPlan;
+use crate::worker::Worker;
 
 /// Per-GPU serving health, from the router's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

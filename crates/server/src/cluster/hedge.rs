@@ -3,11 +3,11 @@
 use std::collections::{HashMap, HashSet};
 
 use krisp_obs::EventKind;
-use krisp_serve_core::InferenceRequest;
 use krisp_sim::{SimDuration, SimTime};
 
 use super::drive::{enqueue, route_least_outstanding, Gpu};
 use super::result::ClusterRobustness;
+use crate::queue::InferenceRequest;
 
 /// Hedged dispatch of straggling requests.
 ///

@@ -5,9 +5,8 @@ use krisp_models::{paper_profile, ModelKind};
 use krisp_runtime::WatchdogConfig;
 use krisp_sim::{DispatchCosts, FaultPlan, GpuTopology, SimDuration};
 
-use krisp_serve_core::SentinelConfig;
-
-use krisp_serve_core::arrival::Arrival;
+use crate::arrival::Arrival;
+use crate::sentinel::SentinelConfig;
 
 /// Where the KRISP policies' per-kernel partition sizes come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

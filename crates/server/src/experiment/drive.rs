@@ -18,15 +18,17 @@ use rand::SeedableRng;
 use krisp_models::{generate_trace, TraceConfig};
 use krisp_obs::{EventKind, Obs};
 use krisp_runtime::{RequiredCusTable, RtEvent, Runtime, RuntimeConfig};
-use krisp_serve_core::arrival::Arrival;
-use krisp_serve_core::{exp_sample, worker_on, AdmissionChain, RequestQueue, Worker};
 use krisp_sim::SimTime;
 
 use super::config::{RightSizeSource, ServerConfig};
 use super::perfdb::model_right_size;
 use super::result;
+use crate::arrival::{exp_sample, Arrival};
 use crate::gpu::{pin, GpuPlan};
 use crate::metrics::ExperimentResult;
+use crate::queue::RequestQueue;
+use crate::sentinel::AdmissionChain;
+use crate::worker::{worker_on, Worker};
 
 pub(super) const TOKEN_WARM: u64 = 0x7000_0000_0000_0001;
 pub(super) const TOKEN_END: u64 = 0x7000_0000_0000_0002;

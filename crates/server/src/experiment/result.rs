@@ -4,10 +4,10 @@
 use krisp_sim::{SimDuration, SimTime};
 
 use super::drive::ServerEngine;
+use crate::arrival::Arrival;
+use crate::books::{FlowCounters, RobustnessCounters, SentinelCounters};
 use crate::metrics::{ExperimentResult, WorkerResult};
-use krisp_serve_core::arrival::Arrival;
-use krisp_serve_core::books::{FlowCounters, RobustnessCounters, SentinelCounters};
-use krisp_serve_core::BrownoutController;
+use crate::sentinel::BrownoutController;
 
 /// Consumes the driven engine and balances its books into an
 /// [`ExperimentResult`].

@@ -4,10 +4,10 @@ use krisp::Policy;
 use krisp_models::ModelKind;
 use krisp_obs::{EventKind, Obs};
 use krisp_runtime::{RequiredCusTable, WatchdogConfig};
-use krisp_serve_core::arrival::Arrival;
 use krisp_sim::{FaultPlan, GpuTopology, SimDuration, SimTime};
 
 use crate::metrics::ExperimentResult;
+use crate::{Arrival, BrownoutConfig, CoDelConfig, SentinelConfig, TokenBucketConfig};
 
 fn quick(mut cfg: ServerConfig) -> ExperimentResult {
     cfg.warmup = Some(SimDuration::from_millis(40));
@@ -334,7 +334,7 @@ fn inert_sentinel_is_bit_identical_to_none() {
         run_server(&cfg, &db)
     };
     let off = run(None);
-    let on = run(Some(krisp_serve_core::SentinelConfig::default()));
+    let on = run(Some(SentinelConfig::default()));
     assert_eq!(off.workers, on.workers);
     assert_eq!(off.flow, on.flow);
     assert_eq!(off.robustness, on.robustness);
@@ -346,12 +346,12 @@ fn admission_control_caps_overload_and_conserves_flow() {
     cfg.arrival = Arrival::Poisson {
         rps_per_worker: 400.0, // ~3x the model's ~125 rps capacity
     };
-    cfg.sentinel = Some(krisp_serve_core::SentinelConfig {
-        admission: Some(krisp_serve_core::TokenBucketConfig {
+    cfg.sentinel = Some(SentinelConfig {
+        admission: Some(TokenBucketConfig {
             rate_per_s: 100.0,
             burst: 5.0,
         }),
-        ..krisp_serve_core::SentinelConfig::default()
+        ..SentinelConfig::default()
     });
     cfg.warmup = Some(SimDuration::from_millis(40));
     cfg.duration = Some(SimDuration::from_secs(1));
@@ -376,12 +376,12 @@ fn codel_sheds_on_sojourn_and_conserves_flow() {
     cfg.arrival = Arrival::Poisson {
         rps_per_worker: 400.0,
     };
-    cfg.sentinel = Some(krisp_serve_core::SentinelConfig {
-        codel: Some(krisp_sim::CoDelConfig {
+    cfg.sentinel = Some(SentinelConfig {
+        codel: Some(CoDelConfig {
             target: SimDuration::from_millis(5),
             interval: SimDuration::from_millis(50),
         }),
-        ..krisp_serve_core::SentinelConfig::default()
+        ..SentinelConfig::default()
     });
     cfg.warmup = Some(SimDuration::from_millis(40));
     cfg.duration = Some(SimDuration::from_secs(1));
@@ -403,13 +403,13 @@ fn brownout_cycle_emits_golden_transition_sequence() {
         rps_per_worker: 400.0,
     };
     cfg.deadline = Some(SimDuration::from_millis(25));
-    cfg.sentinel = Some(krisp_serve_core::SentinelConfig {
-        brownout: Some(krisp_serve_core::BrownoutConfig {
+    cfg.sentinel = Some(SentinelConfig {
+        brownout: Some(BrownoutConfig {
             window: 16,
             min_samples: 8,
-            ..krisp_serve_core::BrownoutConfig::default()
+            ..BrownoutConfig::default()
         }),
-        ..krisp_serve_core::SentinelConfig::default()
+        ..SentinelConfig::default()
     });
     cfg.warmup = Some(SimDuration::from_millis(40));
     cfg.duration = Some(SimDuration::from_secs(2));

@@ -6,7 +6,7 @@
 //! limit, the kernel traces, the queue shape, and the policy's pinned
 //! stream masks. [`GpuPlan::bring_up`] then builds one GPU from it: the
 //! runtime with the policy's allocator (metrics-instrumented when the
-//! runtime records metrics), one stream plus one serve-core [`Worker`]
+//! runtime records metrics), one stream plus one [`Worker`]
 //! per model, and the pinned masks.
 
 use std::collections::HashMap;
@@ -19,10 +19,11 @@ use krisp::{
 use krisp_models::{generate_trace, ModelKind, TraceConfig};
 use krisp_obs::EventBus;
 use krisp_runtime::{PartitionMode, Runtime, RuntimeConfig};
-use krisp_serve_core::{RequestQueue, Worker};
 use krisp_sim::{CuMask, GpuTopology, KernelDesc, MachineError, MaskAllocator, SimDuration};
 
 use crate::experiment::model_right_size;
+use crate::queue::RequestQueue;
+use crate::worker::Worker;
 
 /// The deployment-wide half of a GPU bring-up.
 pub(crate) struct GpuPlan {

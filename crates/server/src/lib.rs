@@ -35,19 +35,29 @@ pub mod cluster;
 pub mod experiment;
 pub mod metrics;
 
+mod arrival;
+mod books;
+mod codel;
 mod gpu;
+mod queue;
+mod sentinel;
+mod worker;
+
+pub use arrival::{poisson_arrivals, Arrival, ExternalArrival};
+pub use books::{FlowCounters, RobustnessCounters, SentinelCounters};
 
 pub use capacity::{plan_capacity, CapacityOptions, CapacityPlan};
 pub use cluster::{
     run_cluster, run_cluster_observed, BreakerConfig, ClusterConfig, ClusterResult,
     ClusterRobustness, CrashScript, GpuHealth, HedgeConfig, Routing,
 };
+pub use codel::{CoDel, CoDelConfig};
 pub use experiment::{
     model_right_size, oracle_perfdb, run_server, run_server_observed, RightSizeSource, ServerConfig,
 };
-pub use krisp_serve_core::{
-    Arrival, BrownoutConfig, BrownoutController, FlowCounters, InferenceRequest, RequestQueue,
-    RobustnessCounters, SentinelConfig, SentinelCounters, SentinelState, TokenBucket,
+pub use metrics::{ExperimentResult, WorkerResult};
+pub use queue::{InferenceRequest, RequestQueue};
+pub use sentinel::{
+    BrownoutConfig, BrownoutController, SentinelConfig, SentinelState, TokenBucket,
     TokenBucketConfig,
 };
-pub use metrics::{ExperimentResult, WorkerResult};

@@ -2,9 +2,8 @@
 //! inference.
 //!
 //! The conservation books ([`FlowCounters`], [`RobustnessCounters`],
-//! [`SentinelCounters`]) live in [`krisp_serve_core::books`] — shared
-//! with the cluster; this module owns the single-GPU result types built
-//! on top of them.
+//! [`SentinelCounters`]) are shared with the cluster; this module owns
+//! the single-GPU result types built on top of them.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,7 +12,7 @@ use krisp_models::ModelKind;
 use krisp_sim::stats::{percentile, Summary};
 use krisp_sim::SimDuration;
 
-use krisp_serve_core::books::{FlowCounters, RobustnessCounters, SentinelCounters};
+use crate::books::{FlowCounters, RobustnessCounters, SentinelCounters};
 
 /// Per-worker outcome of a measurement window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -1,9 +1,9 @@
 //! Golden bit-identity tests for the serving engine.
 //!
-//! The fixtures under `tests/goldens/` were captured from the monolithic
-//! pre-refactor drive loops (`experiment.rs` / `cluster.rs` before the
-//! `krisp_serve_core` extraction). The refactored engine must reproduce
-//! them **byte for byte**: the vendored `serde_json` prints `f64`s with
+//! The fixtures under `tests/goldens/` were captured from the original
+//! monolithic drive loops (`experiment.rs` / `cluster.rs`), before the
+//! serving engine was refactored. The engine must still reproduce them
+//! **byte for byte**: the vendored `serde_json` prints `f64`s with
 //! Rust's shortest-round-trip formatting, so string equality of the
 //! serialized results is bit-identity of every float in them.
 //!
@@ -16,10 +16,9 @@ use std::path::PathBuf;
 use krisp::Policy;
 use krisp_models::ModelKind;
 use krisp_runtime::WatchdogConfig;
-use krisp_serve_core::poisson_arrivals;
 use krisp_server::{
-    run_cluster, run_server, Arrival, BreakerConfig, ClusterConfig, CrashScript, HedgeConfig,
-    Routing, SentinelConfig, ServerConfig,
+    poisson_arrivals, run_cluster, run_server, Arrival, BreakerConfig, ClusterConfig, CrashScript,
+    HedgeConfig, Routing, SentinelConfig, ServerConfig,
 };
 use krisp_sim::{CuMask, FaultPlan, GpuTopology, SimDuration, SimTime};
 use serde::Serialize;

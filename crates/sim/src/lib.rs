@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod allocator;
-pub mod codel;
 pub mod contention;
 pub mod counters;
 pub mod engine;
@@ -68,7 +67,6 @@ pub mod wg_engine;
 mod kernel;
 
 pub use allocator::{FullMaskAllocator, MaskAllocator};
-pub use codel::{CoDel, CoDelConfig};
 pub use counters::CuKernelCounters;
 pub use engine::{Engine, KernelId};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
