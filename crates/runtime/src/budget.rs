@@ -92,11 +92,6 @@ impl RetryBudget {
         }
     }
 
-    /// The configured policy.
-    pub fn config(&self) -> RetryBudgetConfig {
-        self.cfg
-    }
-
     /// Retries granted so far.
     pub fn granted(&self) -> u64 {
         self.granted
@@ -218,7 +213,6 @@ mod tests {
         let mut a = build();
         let mut c = build();
         let _ = c.granted();
-        let _ = c.config();
         for probe in [300u64, 400, 520, 700] {
             assert_eq!(
                 a.try_spend(SimTime::from_nanos(probe)),

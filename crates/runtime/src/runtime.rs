@@ -259,11 +259,6 @@ impl Runtime {
         self.widening = widening;
     }
 
-    /// The currently applied brownout widening.
-    pub fn mask_widening(&self) -> MaskWidening {
-        self.widening
-    }
-
     /// Watchdog retries granted and denied by the retry budget so far
     /// (`(0, 0)` when no budget is configured).
     pub fn retry_budget_counters(&self) -> (u64, u64) {
@@ -393,15 +388,6 @@ impl Runtime {
             return Some(self.machine.now());
         }
         self.machine.next_event_at()
-    }
-
-    /// Advances simulated time while the device is idle (think time).
-    ///
-    /// # Panics
-    ///
-    /// Propagates the machine's panics if work is actually in flight.
-    pub fn advance_idle(&mut self, dt: SimDuration) {
-        self.machine.advance_idle(dt);
     }
 
     /// Advances to the next client-visible event, or `None` when the

@@ -81,8 +81,7 @@ pub fn poisson_arrivals(
     for mi in 0..models {
         let mut t = SimTime::ZERO;
         loop {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            t += SimDuration::from_secs_f64(-u.ln() / rps_per_model);
+            t += exp_sample(&mut rng, rps_per_model);
             if t.as_nanos() > horizon.as_nanos() {
                 break;
             }

@@ -18,12 +18,12 @@ use std::sync::Arc;
 use krisp::DistributionPolicy;
 use krisp_models::TraceConfig;
 use krisp_obs::{EventBus, EventKind, Obs};
-use krisp_runtime::{KrispError, RequiredCusTable, RtEvent, Runtime, RuntimeConfig};
+use krisp_runtime::{KrispError, RequiredCusTable, RtEvent, Runtime, RuntimeConfig, StreamId};
 use krisp_sim::{MachineError, SimTime};
 
 use super::config::{ClusterConfig, Routing};
-use super::health::{apply_crash, finish_restart, maybe_begin_restart, note_failure, GpuHealth};
-use super::hedge::{fire_hedge, HedgeState};
+use super::health::GpuHealth;
+use super::hedge::HedgeState;
 use super::result::{self, ClusterResult, ClusterRobustness};
 use crate::arrival::poisson_arrivals;
 use crate::gpu::GpuPlan;
@@ -55,6 +55,29 @@ impl Gpu {
                 state: health.code(),
             });
         }
+    }
+
+    /// Enqueues on this GPU and schedules the deferred start on its own
+    /// timeline. Returns false when the bounded queue shed the request
+    /// (the queue's own shed counter is aggregated at the end of the run
+    /// — the single source of truth for capacity sheds).
+    pub(super) fn enqueue(&mut self, mi: usize, req: InferenceRequest, now: SimTime) -> bool {
+        let w = &mut self.workers[mi];
+        let id = req.id;
+        if w.queue.push(req).is_err() {
+            let depth = w.queue.len() as u32;
+            self.bus.emit(now.as_nanos(), || EventKind::RequestShed {
+                request_id: id,
+                depth,
+            });
+            return false;
+        }
+        if !w.busy() && self.health != GpuHealth::Restarting {
+            // Defer the actual launch into the GPU's own timeline.
+            let delay = now.saturating_since(self.rt.now());
+            self.rt.add_timer(delay, mi as u64);
+        }
+        true
     }
 }
 
@@ -130,13 +153,7 @@ impl ClusterEngine<'_> {
 
     fn on_front(&mut self, at: SimTime, ev: Front) {
         match ev {
-            Front::Crash => {
-                let crash = self
-                    .config
-                    .crash
-                    .expect("a crash event needs a crash script");
-                apply_crash(&mut self.gpus, &crash, &mut self.rob, &mut self.hedge);
-            }
+            Front::Crash => self.apply_crash(),
             Front::Hedge {
                 id,
                 mi,
@@ -145,15 +162,7 @@ impl ClusterEngine<'_> {
             } => {
                 let req =
                     InferenceRequest::new(id, self.config.models[mi], self.config.batch, arrival);
-                fire_hedge(
-                    &mut self.gpus,
-                    req,
-                    mi,
-                    primary,
-                    at,
-                    &mut self.rob,
-                    &mut self.hedge,
-                );
+                self.fire_hedge(req, mi, primary, at);
             }
             Front::Arrival { model, id } => self.on_arrival(at, model, id),
         }
@@ -164,31 +173,22 @@ impl ClusterEngine<'_> {
     /// hedge check if hedging is configured.
     fn on_arrival(&mut self, ta: SimTime, mi: usize, id: u64) {
         let config = self.config;
-        let gpus = &mut self.gpus;
-        let rr_next = &mut self.rr_next;
         let gi = match config.routing {
-            Routing::RoundRobin => {
-                let mut pick = None;
-                for _ in 0..config.gpus {
-                    *rr_next = (*rr_next + 1) % config.gpus;
-                    if gpus[*rr_next].routable() {
-                        pick = Some(*rr_next);
-                        break;
-                    }
-                }
-                pick
-            }
-            Routing::LeastOutstanding => route_least_outstanding(gpus, mi, None),
+            Routing::RoundRobin => (0..config.gpus).find_map(|_| {
+                self.rr_next = (self.rr_next + 1) % config.gpus;
+                self.gpus[self.rr_next].routable().then_some(self.rr_next)
+            }),
+            Routing::LeastOutstanding => self.route_least_outstanding(mi, None),
         }
         // With every GPU down, fall back to the least-loaded one:
         // the request waits out the restart instead of vanishing.
         .unwrap_or_else(|| {
             (0..config.gpus)
-                .min_by_key(|&g| gpus[g].workers[mi].outstanding())
+                .min_by_key(|&g| self.gpus[g].workers[mi].outstanding())
                 .expect("at least one GPU")
         });
         let req = InferenceRequest::new(id, config.models[mi], config.batch, ta);
-        let admitted = enqueue(&mut gpus[gi], mi, req, ta);
+        let admitted = self.gpus[gi].enqueue(mi, req, ta);
         if let Some(h) = config.hedge.filter(|_| admitted) {
             let check = Front::Hedge {
                 id,
@@ -204,87 +204,153 @@ impl ClusterEngine<'_> {
     /// starts, completions (with hedge settlement and horizon
     /// accounting), kernel/CU failures, and restart timers.
     fn handle_gpu_event(&mut self, gi: usize) {
-        let horizon_end = self.horizon_end;
-        let ClusterEngine {
-            config,
-            gpus,
-            plan,
-            rob,
-            latencies_ms,
-            per_gpu,
-            hedge,
-            drained,
-            ..
-        } = self;
-        match gpus[gi].rt.step() {
+        match self.gpus[gi].rt.step() {
             Some(RtEvent::TimerFired { token, at }) if token == TOKEN_RESTART => {
-                finish_restart(gpus, gi, at, config, plan, rob, hedge);
+                self.finish_restart(gi, at);
             }
-            Some(RtEvent::TimerFired { token, at }) => {
-                let mi = token as usize;
-                try_start(gpus, gi, mi, at, config, rob, hedge);
-            }
+            Some(RtEvent::TimerFired { token, at }) => self.try_start(gi, token as usize, at),
             Some(RtEvent::KernelCompleted { stream, tag, at }) => {
-                let mi = worker_on(&gpus[gi].workers, stream);
-                let Some(done) = gpus[gi].workers[mi].end_run(tag) else {
-                    return;
-                };
-                for req in done {
-                    match hedge.settle_completion(req.id) {
-                        // A copy that lost the hedge race: discard.
-                        None => {}
-                        Some(was_hedged) => {
-                            if was_hedged {
-                                rob.hedge_wins += 1;
-                                gpus[gi].bus.emit(at.as_nanos(), || EventKind::HedgeWon {
-                                    request_id: req.id,
-                                    gpu: gi as u32,
-                                });
-                            }
-                            // Only completions inside the horizon count:
-                            // the post-horizon backlog drain would
-                            // inflate throughput beyond capacity.
-                            if at <= horizon_end {
-                                latencies_ms.push(at.saturating_since(req.arrival).as_millis_f64());
-                                per_gpu[gi] += 1;
-                            } else {
-                                *drained += 1;
-                            }
-                        }
-                    }
-                }
-                if at <= horizon_end {
-                    try_start(gpus, gi, mi, at, config, rob, hedge);
-                }
-                maybe_begin_restart(&mut gpus[gi], gi, at, config);
+                self.on_completion(gi, stream, tag, at);
             }
             Some(RtEvent::KernelFailed {
                 stream, tag, at, ..
             }) => {
-                rob.failed_kernels += 1;
-                let mi = worker_on(&gpus[gi].workers, stream);
+                self.rob.failed_kernels += 1;
+                let mi = worker_on(&self.gpus[gi].workers, stream);
                 // The run's final kernel died: its copies are lost and
                 // the worker moves on. A request itself is lost only if
                 // no hedge copy is still racing.
-                let lost = gpus[gi].workers[mi].end_run(tag);
+                let lost = self.gpus[gi].workers[mi].end_run(tag);
                 for req in lost.iter().flatten() {
-                    if hedge.settle_negative(req.id) {
-                        rob.failed_requests += 1;
+                    if self.hedge.settle_negative(req.id) {
+                        self.rob.failed_requests += 1;
                     }
                 }
-                note_failure(gpus, gi, at, config, rob, hedge);
+                self.note_failure(gi, at);
                 if lost.is_some() {
-                    if gpus[gi].routable() && at <= horizon_end {
-                        try_start(gpus, gi, mi, at, config, rob, hedge);
+                    if self.gpus[gi].routable() && at <= self.horizon_end {
+                        self.try_start(gi, mi, at);
                     }
-                    maybe_begin_restart(&mut gpus[gi], gi, at, config);
+                    self.maybe_begin_restart(gi, at);
                 }
             }
-            Some(RtEvent::CusFailed { at, .. }) => {
-                note_failure(gpus, gi, at, config, rob, hedge);
-            }
+            Some(RtEvent::CusFailed { at, .. }) => self.note_failure(gi, at),
             _ => {}
         }
+    }
+
+    /// A kernel completed on GPU `gi`: if it ends a run, settle each
+    /// request's hedge race, book the winners inside the horizon, and
+    /// start the worker's next request.
+    fn on_completion(&mut self, gi: usize, stream: StreamId, tag: u64, at: SimTime) {
+        let mi = worker_on(&self.gpus[gi].workers, stream);
+        let Some(done) = self.gpus[gi].workers[mi].end_run(tag) else {
+            return;
+        };
+        for req in done {
+            // `None`: a copy that lost the hedge race; discard it.
+            let Some(was_hedged) = self.hedge.settle_completion(req.id) else {
+                continue;
+            };
+            if was_hedged {
+                self.rob.hedge_wins += 1;
+                self.gpus[gi]
+                    .bus
+                    .emit(at.as_nanos(), || EventKind::HedgeWon {
+                        request_id: req.id,
+                        gpu: gi as u32,
+                    });
+            }
+            // Only completions inside the horizon count: the
+            // post-horizon backlog drain would inflate throughput beyond
+            // capacity.
+            if at <= self.horizon_end {
+                self.latencies_ms
+                    .push(at.saturating_since(req.arrival).as_millis_f64());
+                self.per_gpu[gi] += 1;
+            } else {
+                self.drained += 1;
+            }
+        }
+        if at <= self.horizon_end {
+            self.try_start(gi, mi, at);
+        }
+        self.maybe_begin_restart(gi, at);
+    }
+
+    /// Least-outstanding routing over the routable GPUs; ties resolve to
+    /// the lowest GPU index (deterministic for same-seed runs).
+    pub(super) fn route_least_outstanding(
+        &self,
+        mi: usize,
+        exclude: Option<usize>,
+    ) -> Option<usize> {
+        (0..self.gpus.len())
+            .filter(|&g| Some(g) != exclude && self.gpus[g].routable())
+            .min_by_key(|&g| self.gpus[g].workers[mi].outstanding())
+    }
+
+    /// Starts the worker's next viable request: copies that already lost
+    /// a hedge race are cancelled, expired ones are retried on another
+    /// GPU (once) or dropped; `Restarting` GPUs never start.
+    pub(super) fn try_start(&mut self, gi: usize, mi: usize, now: SimTime) {
+        if self.gpus[gi].workers[mi].busy() || self.gpus[gi].health == GpuHealth::Restarting {
+            return;
+        }
+        while let Some(req) = self.gpus[gi].workers[mi].queue.pop() {
+            if self.hedge.done.contains(&req.id) {
+                // A copy whose request was already settled elsewhere:
+                // first-wins cancel, no counter moves.
+                continue;
+            }
+            let waited = now.saturating_since(req.enqueued_at);
+            if self.config.deadline.is_some_and(|d| waited > d) {
+                self.retry_or_drop(gi, mi, req, now);
+                continue;
+            }
+            let gpu = &mut self.gpus[gi];
+            gpu.workers[mi].start_inference(&mut gpu.rt, req);
+            return;
+        }
+    }
+
+    /// Moves a request whose deadline (or GPU) expired to another GPU; a
+    /// request only gets one move before it is dropped. The retry target
+    /// must have queue room — a retry never sheds, so the capacity-shed
+    /// counter stays a pure arrival count.
+    pub(super) fn retry_or_drop(
+        &mut self,
+        from: usize,
+        mi: usize,
+        mut req: InferenceRequest,
+        now: SimTime,
+    ) {
+        let target = self
+            .route_least_outstanding(mi, Some(from))
+            .filter(|&g| !req.retried && self.gpus[g].workers[mi].queue.has_room());
+        let Some(to) = target else {
+            if self.hedge.settle_negative(req.id) {
+                self.rob.timed_out += 1;
+                let waited = now.saturating_since(req.arrival);
+                self.gpus[from]
+                    .bus
+                    .emit(now.as_nanos(), || EventKind::RequestTimedOut {
+                        request_id: req.id,
+                        waited_ns: waited.as_nanos(),
+                    });
+            }
+            return;
+        };
+        self.rob.retried += 1;
+        self.gpus[from]
+            .bus
+            .emit(now.as_nanos(), || EventKind::RequestRetried {
+                request_id: req.id,
+                to_gpu: to as u32,
+            });
+        req.retried = true;
+        req.enqueued_at = now; // fresh deadline budget on the new GPU
+        self.gpus[to].enqueue(mi, req, now);
     }
 }
 
@@ -425,121 +491,4 @@ pub fn run_cluster_observed(
 /// The cluster's text for mask rejections.
 pub(super) fn error_texts(errors: Vec<MachineError>) -> impl Iterator<Item = String> {
     errors.into_iter().map(|e| KrispError::from(e).to_string())
-}
-
-/// Least-outstanding routing over the routable GPUs; ties resolve to
-/// the lowest GPU index (deterministic for same-seed runs).
-pub(super) fn route_least_outstanding(
-    gpus: &[Gpu],
-    mi: usize,
-    exclude: Option<usize>,
-) -> Option<usize> {
-    (0..gpus.len())
-        .filter(|&g| Some(g) != exclude && gpus[g].routable())
-        .min_by_key(|&g| gpus[g].workers[mi].outstanding())
-}
-
-/// Enqueues at a specific GPU and schedules the deferred start on the
-/// GPU's own timeline. Returns false when the bounded queue shed the
-/// request (the queue's own shed counter is aggregated at the end of
-/// the run — the single source of truth for capacity sheds).
-pub(super) fn enqueue(gpu: &mut Gpu, mi: usize, req: InferenceRequest, now: SimTime) -> bool {
-    let w = &mut gpu.workers[mi];
-    let id = req.id;
-    if w.queue.push(req).is_err() {
-        let depth = w.queue.len() as u32;
-        gpu.bus.emit(now.as_nanos(), || EventKind::RequestShed {
-            request_id: id,
-            depth,
-        });
-        return false;
-    }
-    if !w.busy() && gpu.health != GpuHealth::Restarting {
-        // Defer the actual launch into the GPU's own timeline.
-        let delay = now.saturating_since(gpu.rt.now());
-        gpu.rt.add_timer(delay, mi as u64);
-    }
-    true
-}
-
-/// Starts the worker's next viable request: copies that already lost a
-/// hedge race are cancelled, expired ones are retried on another GPU
-/// (once) or dropped; `Restarting` GPUs never start.
-pub(super) fn try_start(
-    gpus: &mut [Gpu],
-    gi: usize,
-    mi: usize,
-    now: SimTime,
-    config: &ClusterConfig,
-    rob: &mut ClusterRobustness,
-    hedge: &mut HedgeState,
-) {
-    if gpus[gi].workers[mi].busy() || gpus[gi].health == GpuHealth::Restarting {
-        return;
-    }
-    loop {
-        let Some(req) = gpus[gi].workers[mi].queue.pop() else {
-            return;
-        };
-        if hedge.done.contains(&req.id) {
-            // A copy whose request was already settled elsewhere:
-            // first-wins cancel, no counter moves.
-            continue;
-        }
-        let waited = now.saturating_since(req.enqueued_at);
-        if config.deadline.is_some_and(|d| waited > d) {
-            retry_or_drop(gpus, gi, mi, req, now, rob, hedge);
-            continue;
-        }
-        let gpu = &mut gpus[gi];
-        gpu.workers[mi].start_inference(&mut gpu.rt, req);
-        return;
-    }
-}
-
-/// Moves a request whose deadline (or GPU) expired to another GPU; a
-/// request only gets one move before it is dropped. The retry target
-/// must have queue room — a retry never sheds, so the capacity-shed
-/// counter stays a pure arrival count.
-pub(super) fn retry_or_drop(
-    gpus: &mut [Gpu],
-    from: usize,
-    mi: usize,
-    mut req: InferenceRequest,
-    now: SimTime,
-    rob: &mut ClusterRobustness,
-    hedge: &mut HedgeState,
-) {
-    let target = route_least_outstanding(gpus, mi, Some(from)).filter(|&g| {
-        gpus[g].workers[mi]
-            .queue
-            .capacity()
-            .is_none_or(|cap| gpus[g].workers[mi].queue.len() < cap)
-    });
-    if req.retried || target.is_none() {
-        if hedge.settle_negative(req.id) {
-            rob.timed_out += 1;
-            let waited = now.saturating_since(req.arrival);
-            gpus[from]
-                .bus
-                .emit(now.as_nanos(), || EventKind::RequestTimedOut {
-                    request_id: req.id,
-                    waited_ns: waited.as_nanos(),
-                });
-        }
-        return;
-    }
-    let Some(to) = target else {
-        return;
-    };
-    rob.retried += 1;
-    gpus[from]
-        .bus
-        .emit(now.as_nanos(), || EventKind::RequestRetried {
-            request_id: req.id,
-            to_gpu: to as u32,
-        });
-    req.retried = true;
-    req.enqueued_at = now; // fresh deadline budget on the new GPU
-    enqueue(&mut gpus[to], mi, req, now);
 }

@@ -4,11 +4,7 @@
 use krisp_obs::EventKind;
 use krisp_sim::{SimDuration, SimTime};
 
-use super::config::{ClusterConfig, CrashScript};
-use super::drive::{error_texts, retry_or_drop, try_start, Gpu, TOKEN_RESTART};
-use super::hedge::HedgeState;
-use super::result::ClusterRobustness;
-use crate::gpu::GpuPlan;
+use super::drive::{error_texts, ClusterEngine, TOKEN_RESTART};
 use crate::worker::Worker;
 
 /// Per-GPU serving health, from the router's point of view.
@@ -55,119 +51,100 @@ impl Default for BreakerConfig {
     }
 }
 
-/// Counts a failure toward the breaker, degrading and eventually
-/// ejecting the GPU.
-pub(super) fn note_failure(
-    gpus: &mut [Gpu],
-    gi: usize,
-    now: SimTime,
-    config: &ClusterConfig,
-    rob: &mut ClusterRobustness,
-    hedge: &mut HedgeState,
-) {
-    gpus[gi].failures += 1;
-    if gpus[gi].health == GpuHealth::Healthy {
-        gpus[gi].set_health(GpuHealth::Degraded, gi, now);
-    }
-    let Some(breaker) = config.breaker else {
-        return;
-    };
-    if gpus[gi].failures < breaker.trip_after || !gpus[gi].routable() {
-        return;
-    }
-    // Trip: stop routing to this GPU and move its backlog elsewhere.
-    rob.breaker_trips += 1;
-    gpus[gi].tripped = true;
-    gpus[gi]
-        .bus
-        .emit(now.as_nanos(), || EventKind::BreakerTripped {
+impl ClusterEngine<'_> {
+    /// Counts a failure toward the breaker, degrading and eventually
+    /// ejecting the GPU.
+    pub(super) fn note_failure(&mut self, gi: usize, now: SimTime) {
+        let gpu = &mut self.gpus[gi];
+        gpu.failures += 1;
+        if gpu.health == GpuHealth::Healthy {
+            gpu.set_health(GpuHealth::Degraded, gi, now);
+        }
+        let Some(breaker) = self.config.breaker else {
+            return;
+        };
+        if gpu.failures < breaker.trip_after || !gpu.routable() {
+            return;
+        }
+        // Trip: stop routing to this GPU and move its backlog elsewhere.
+        self.rob.breaker_trips += 1;
+        gpu.tripped = true;
+        gpu.bus.emit(now.as_nanos(), || EventKind::BreakerTripped {
             gpu: gi as u32,
         });
-    gpus[gi].set_health(GpuHealth::Draining, gi, now);
-    redistribute_backlog(gpus, gi, now, rob, hedge);
-    maybe_begin_restart(&mut gpus[gi], gi, now, config);
-}
-
-/// Moves every queued request off a draining or crashed GPU.
-pub(super) fn redistribute_backlog(
-    gpus: &mut [Gpu],
-    gi: usize,
-    now: SimTime,
-    rob: &mut ClusterRobustness,
-    hedge: &mut HedgeState,
-) {
-    for mi in 0..gpus[gi].workers.len() {
-        while let Some(req) = gpus[gi].workers[mi].queue.pop() {
-            if hedge.done.contains(&req.id) {
-                continue; // a copy that already lost its race
-            }
-            retry_or_drop(gpus, gi, mi, req, now, rob, hedge);
-        }
+        gpu.set_health(GpuHealth::Draining, gi, now);
+        self.redistribute_backlog(gi, now);
+        self.maybe_begin_restart(gi, now);
     }
-}
 
-/// A draining GPU whose last in-flight request finished goes down for
-/// the breaker's restart period.
-pub(super) fn maybe_begin_restart(gpu: &mut Gpu, gi: usize, now: SimTime, config: &ClusterConfig) {
-    if gpu.health != GpuHealth::Draining || gpu.workers.iter().any(Worker::busy) {
-        return;
-    }
-    let restart = config.breaker.map(|b| b.restart).unwrap_or_default();
-    gpu.set_health(GpuHealth::Restarting, gi, now);
-    let delay = now.saturating_since(gpu.rt.now()) + restart;
-    gpu.rt.add_timer(delay, TOKEN_RESTART);
-}
-
-/// The scripted crash: in-flight requests are lost, the backlog moves to
-/// surviving GPUs, and the GPU re-warms after its downtime.
-pub(super) fn apply_crash(
-    gpus: &mut [Gpu],
-    crash: &CrashScript,
-    rob: &mut ClusterRobustness,
-    hedge: &mut HedgeState,
-) {
-    let gi = crash.gpu;
-    rob.crashes += 1;
-    gpus[gi].set_health(GpuHealth::Restarting, gi, crash.at);
-    for w in &mut gpus[gi].workers {
-        // The kernels keep draining in the dead GPU's simulation, but the
-        // run is discarded: its completion must not be counted.
-        for req in w.discard_run() {
-            if hedge.settle_negative(req.id) {
-                rob.failed_requests += 1;
+    /// Moves every queued request off a draining or crashed GPU.
+    fn redistribute_backlog(&mut self, gi: usize, now: SimTime) {
+        for mi in 0..self.gpus[gi].workers.len() {
+            while let Some(req) = self.gpus[gi].workers[mi].queue.pop() {
+                if self.hedge.done.contains(&req.id) {
+                    continue; // a copy that already lost its race
+                }
+                self.retry_or_drop(gi, mi, req, now);
             }
         }
     }
-    redistribute_backlog(gpus, gi, crash.at, rob, hedge);
-    let delay = crash.at.saturating_since(gpus[gi].rt.now()) + crash.down_for;
-    gpus[gi].rt.add_timer(delay, TOKEN_RESTART);
-}
 
-/// Restart complete: re-warm the pinned stream masks, reset the breaker,
-/// and resume serving anything that queued up during the fallback.
-pub(super) fn finish_restart(
-    gpus: &mut [Gpu],
-    gi: usize,
-    now: SimTime,
-    config: &ClusterConfig,
-    plan: &GpuPlan,
-    rob: &mut ClusterRobustness,
-    hedge: &mut HedgeState,
-) {
-    let gpu = &mut gpus[gi];
-    rob.errors
-        .extend(error_texts(plan.pin_masks(&mut gpu.rt, &gpu.workers)));
-    gpus[gi].failures = 0;
-    if gpus[gi].tripped {
-        gpus[gi].tripped = false;
-        gpus[gi]
-            .bus
-            .emit(now.as_nanos(), || EventKind::BreakerReset {
+    /// A draining GPU whose last in-flight request finished goes down for
+    /// the breaker's restart period.
+    pub(super) fn maybe_begin_restart(&mut self, gi: usize, now: SimTime) {
+        let gpu = &mut self.gpus[gi];
+        if gpu.health != GpuHealth::Draining || gpu.workers.iter().any(Worker::busy) {
+            return;
+        }
+        let restart = self.config.breaker.map(|b| b.restart).unwrap_or_default();
+        gpu.set_health(GpuHealth::Restarting, gi, now);
+        let delay = now.saturating_since(gpu.rt.now()) + restart;
+        gpu.rt.add_timer(delay, TOKEN_RESTART);
+    }
+
+    /// The scripted crash: in-flight requests are lost, the backlog moves
+    /// to surviving GPUs, and the GPU re-warms after its downtime.
+    pub(super) fn apply_crash(&mut self) {
+        let crash = self
+            .config
+            .crash
+            .expect("a crash event needs a crash script");
+        let gi = crash.gpu;
+        self.rob.crashes += 1;
+        self.gpus[gi].set_health(GpuHealth::Restarting, gi, crash.at);
+        for w in &mut self.gpus[gi].workers {
+            // The kernels keep draining in the dead GPU's simulation, but
+            // the run is discarded: its completion must not be counted.
+            for req in w.discard_run() {
+                if self.hedge.settle_negative(req.id) {
+                    self.rob.failed_requests += 1;
+                }
+            }
+        }
+        self.redistribute_backlog(gi, crash.at);
+        let gpu = &mut self.gpus[gi];
+        let delay = crash.at.saturating_since(gpu.rt.now()) + crash.down_for;
+        gpu.rt.add_timer(delay, TOKEN_RESTART);
+    }
+
+    /// Restart complete: re-warm the pinned stream masks, reset the
+    /// breaker, and resume serving anything that queued up during the
+    /// fallback.
+    pub(super) fn finish_restart(&mut self, gi: usize, now: SimTime) {
+        let gpu = &mut self.gpus[gi];
+        self.rob
+            .errors
+            .extend(error_texts(self.plan.pin_masks(&mut gpu.rt, &gpu.workers)));
+        gpu.failures = 0;
+        if gpu.tripped {
+            gpu.tripped = false;
+            gpu.bus.emit(now.as_nanos(), || EventKind::BreakerReset {
                 gpu: gi as u32,
             });
-    }
-    gpus[gi].set_health(GpuHealth::Healthy, gi, now);
-    for mi in 0..gpus[gi].workers.len() {
-        try_start(gpus, gi, mi, now, config, rob, hedge);
+        }
+        gpu.set_health(GpuHealth::Healthy, gi, now);
+        for mi in 0..self.gpus[gi].workers.len() {
+            self.try_start(gi, mi, now);
+        }
     }
 }

@@ -5,8 +5,7 @@ use std::collections::{HashMap, HashSet};
 use krisp_obs::EventKind;
 use krisp_sim::{SimDuration, SimTime};
 
-use super::drive::{enqueue, route_least_outstanding, Gpu};
-use super::result::ClusterRobustness;
+use super::drive::ClusterEngine;
 use crate::queue::InferenceRequest;
 
 /// Hedged dispatch of straggling requests.
@@ -66,45 +65,41 @@ impl HedgeState {
     }
 }
 
-/// A hedge timer fired for `req` (model index `mi`, first routed to
-/// `primary`): if the request is still unresolved, dispatch a second copy
-/// to the best other healthy GPU with queue room. The copy carries
-/// `retried: true` so it can never fan out further.
-pub(super) fn fire_hedge(
-    gpus: &mut [Gpu],
-    req: InferenceRequest,
-    mi: usize,
-    primary: usize,
-    now: SimTime,
-    rob: &mut ClusterRobustness,
-    hedge: &mut HedgeState,
-) {
-    let id = req.id;
-    if hedge.done.contains(&id) {
-        return; // already settled: nothing to protect
+impl ClusterEngine<'_> {
+    /// A hedge timer fired for `req` (model index `mi`, first routed to
+    /// `primary`): if the request is still unresolved, dispatch a second
+    /// copy to the best other healthy GPU with queue room. The copy
+    /// carries `retried: true` so it can never fan out further.
+    pub(super) fn fire_hedge(
+        &mut self,
+        req: InferenceRequest,
+        mi: usize,
+        primary: usize,
+        now: SimTime,
+    ) {
+        let id = req.id;
+        if self.hedge.done.contains(&id) {
+            return; // already settled: nothing to protect
+        }
+        let Some(to) = self.route_least_outstanding(mi, Some(primary)) else {
+            return; // no second healthy GPU
+        };
+        if !self.gpus[to].workers[mi].queue.has_room() {
+            return; // a hedge must not shed admitted work
+        }
+        self.hedge.live.insert(id, 2);
+        self.rob.hedged += 1;
+        self.gpus[primary]
+            .bus
+            .emit(now.as_nanos(), || EventKind::RequestHedged {
+                request_id: id,
+                to_gpu: to as u32,
+            });
+        let copy = InferenceRequest {
+            enqueued_at: now,
+            retried: true,
+            ..req
+        };
+        self.gpus[to].enqueue(mi, copy, now);
     }
-    let Some(to) = route_least_outstanding(gpus, mi, Some(primary)) else {
-        return; // no second healthy GPU
-    };
-    if gpus[to].workers[mi]
-        .queue
-        .capacity()
-        .is_some_and(|cap| gpus[to].workers[mi].queue.len() >= cap)
-    {
-        return; // a hedge must not shed admitted work
-    }
-    hedge.live.insert(id, 2);
-    rob.hedged += 1;
-    gpus[primary]
-        .bus
-        .emit(now.as_nanos(), || EventKind::RequestHedged {
-            request_id: id,
-            to_gpu: to as u32,
-        });
-    let copy = InferenceRequest {
-        enqueued_at: now,
-        retried: true,
-        ..req
-    };
-    enqueue(&mut gpus[to], mi, copy, now);
 }

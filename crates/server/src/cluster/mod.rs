@@ -10,7 +10,8 @@
 //! globally earliest steps first, and the front-end wins an equal
 //! instant, so routing decisions made at an arrival instant observe
 //! every GPU's true state at that instant. Routing, health and hedging
-//! live in the cluster itself; serve-core supplies the per-GPU workers.
+//! live in the cluster itself; each GPU runs the same per-model workers
+//! as the single-GPU server.
 //!
 //! ## Health-aware serving
 //!

@@ -85,11 +85,6 @@ impl CoDel {
         }
     }
 
-    /// The configured control-law knobs.
-    pub fn config(&self) -> CoDelConfig {
-        self.cfg
-    }
-
     /// Total heads the law has asked to drop.
     pub fn dropped(&self) -> u64 {
         self.dropped

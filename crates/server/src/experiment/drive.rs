@@ -17,7 +17,7 @@ use rand::SeedableRng;
 
 use krisp_models::{generate_trace, TraceConfig};
 use krisp_obs::{EventKind, Obs};
-use krisp_runtime::{RequiredCusTable, RtEvent, Runtime, RuntimeConfig};
+use krisp_runtime::{RequiredCusTable, RtEvent, Runtime, RuntimeConfig, StreamId};
 use krisp_sim::SimTime;
 
 use super::config::{RightSizeSource, ServerConfig};
@@ -36,9 +36,28 @@ const TOKEN_ARRIVAL_BASE: u64 = 0x7000_0000_0001_0000;
 const TOKEN_START_BASE: u64 = 0x7000_0000_0002_0000;
 const TOKEN_BATCH_BASE: u64 = 0x7000_0000_0003_0000;
 
+/// The runtime's cumulative meters, read at an instant; the window's
+/// figures are the difference of two readings.
+#[derive(Default)]
+pub(super) struct Meter {
+    pub(super) energy_j: f64,
+    pub(super) busy_cu_seconds: f64,
+    pub(super) service_cu_seconds: f64,
+}
+
+impl Meter {
+    fn read(rt: &Runtime) -> Meter {
+        Meter {
+            energy_j: rt.energy_joules(),
+            busy_cu_seconds: rt.busy_cu_seconds(),
+            service_cu_seconds: rt.service_cu_seconds(),
+        }
+    }
+}
+
 /// All per-run state of the single-GPU server: the runtime machine, its
-/// workers, the sentinel admission chain, and the measurement snapshots
-/// taken at the warmup and window-end timers.
+/// workers, the sentinel admission chain, and the meter readings taken
+/// at the warmup and window-end timers.
 pub(super) struct ServerEngine<'a> {
     pub(super) config: &'a ServerConfig,
     pub(super) obs: Obs,
@@ -48,220 +67,38 @@ pub(super) struct ServerEngine<'a> {
     pub(super) deadline_ms: Option<f64>,
     pub(super) arrivals: StdRng,
     pub(super) end: SimTime,
-    pub(super) energy_at_warm: f64,
-    pub(super) energy_at_end: f64,
-    pub(super) busy_at_warm: f64,
-    pub(super) busy_at_end: f64,
-    pub(super) service_at_warm: f64,
-    pub(super) service_at_end: f64,
+    pub(super) at_warm: Meter,
+    pub(super) at_end: Meter,
     pub(super) flow_arrivals: u64,
     pub(super) flow_admitted: u64,
     pub(super) flow_shed_admission: u64,
 }
 
 impl ServerEngine<'_> {
-    /// Handles one runtime event: measurement snapshots, arrival and
+    /// Handles one runtime event: meter readings, start, arrival and
     /// batch timers, and kernel completions/failures.
     fn handle(&mut self, ev: RtEvent) {
-        let end = self.end;
-        let deadline_ms = self.deadline_ms;
-        let ServerEngine {
-            config,
-            obs,
-            rt,
-            workers,
-            chain,
-            arrivals,
-            energy_at_warm,
-            energy_at_end,
-            busy_at_warm,
-            busy_at_end,
-            service_at_warm,
-            service_at_end,
-            flow_arrivals,
-            flow_admitted,
-            flow_shed_admission,
-            ..
-        } = self;
         match ev {
             RtEvent::TimerFired {
                 token: TOKEN_WARM, ..
-            } => {
-                *energy_at_warm = rt.energy_joules();
-                *busy_at_warm = rt.busy_cu_seconds();
-                *service_at_warm = rt.service_cu_seconds();
-            }
+            } => self.at_warm = Meter::read(&self.rt),
             RtEvent::TimerFired {
                 token: TOKEN_END, ..
-            } => {
-                *energy_at_end = rt.energy_joules();
-                *busy_at_end = rt.busy_cu_seconds();
-                *service_at_end = rt.service_cu_seconds();
-            }
+            } => self.at_end = Meter::read(&self.rt),
+            // Only dynamic batching sets batch timers, and for it
+            // `start_next` forms a batch if one is due.
             RtEvent::TimerFired { token, at } if token >= TOKEN_BATCH_BASE => {
-                let wi = (token - TOKEN_BATCH_BASE) as usize;
-                if let Arrival::OpenBatched {
-                    max_batch,
-                    batch_timeout,
-                    ..
-                } = config.arrival
-                {
-                    workers[wi].try_form_batch(rt, at, max_batch, batch_timeout);
-                }
+                self.start_next((token - TOKEN_BATCH_BASE) as usize, at);
             }
             RtEvent::TimerFired { token, at } if token >= TOKEN_START_BASE => {
-                let w = &mut workers[(token - TOKEN_START_BASE) as usize];
-                let req = w.new_request(config.batch, at);
-                w.start_inference(rt, req);
+                let w = &mut self.workers[(token - TOKEN_START_BASE) as usize];
+                let req = w.new_request(self.config.batch, at);
+                w.start_inference(&mut self.rt, req);
             }
             RtEvent::TimerFired { token, at } if token >= TOKEN_ARRIVAL_BASE => {
-                let wi = (token - TOKEN_ARRIVAL_BASE) as usize;
-                match config.arrival {
-                    Arrival::ClosedLoop => unreachable!("no arrival timers in closed loop"),
-                    Arrival::Poisson { rps_per_worker } => {
-                        let req = workers[wi].new_request(config.batch, at);
-                        *flow_arrivals += 1;
-                        // Guardrails 1+2 compose in the admission chain:
-                        // Shed-state policy (no token burned on a Shed
-                        // rejection), then the token-bucket rate cap.
-                        let depth = workers[wi].queue.len();
-                        if !chain.admit(wi, at, depth, workers[wi].busy()) {
-                            *flow_shed_admission += 1;
-                            let depth = workers[wi].queue.len() as u32;
-                            workers[wi]
-                                .bus
-                                .emit(at.as_nanos(), || EventKind::RequestShed {
-                                    request_id: req.id,
-                                    depth,
-                                });
-                            if obs.metrics.enabled() {
-                                obs.metrics.inc(
-                                    "krisp_sentinel_admission_shed_total",
-                                    &[("worker", &wi.to_string())],
-                                    1,
-                                );
-                            }
-                            if at < end {
-                                let gap = exp_sample(arrivals, rps_per_worker);
-                                rt.add_timer(gap, token);
-                            }
-                            return;
-                        }
-                        let accepted = workers[wi].queue.push(req).is_ok();
-                        if accepted {
-                            *flow_admitted += 1;
-                            workers[wi]
-                                .bus
-                                .emit(at.as_nanos(), || EventKind::RequestEnqueued {
-                                    request_id: req.id,
-                                });
-                            if !workers[wi].busy() {
-                                if let Some(req) = workers[wi].pop_runnable(at, config.deadline) {
-                                    workers[wi].start_inference(rt, req);
-                                }
-                            }
-                        } else {
-                            let depth = workers[wi].queue.len() as u32;
-                            workers[wi]
-                                .bus
-                                .emit(at.as_nanos(), || EventKind::RequestShed {
-                                    request_id: req.id,
-                                    depth,
-                                });
-                            if obs.metrics.enabled() {
-                                obs.metrics.inc(
-                                    "krisp_requests_shed_total",
-                                    &[("worker", &wi.to_string())],
-                                    1,
-                                );
-                            }
-                        }
-                        if obs.metrics.enabled() {
-                            obs.metrics.set_gauge(
-                                "krisp_request_queue_depth",
-                                &[("worker", &wi.to_string())],
-                                workers[wi].queue.len() as f64,
-                            );
-                        }
-                        if at < end {
-                            let gap = exp_sample(arrivals, rps_per_worker);
-                            rt.add_timer(gap, token);
-                        }
-                    }
-                    Arrival::OpenBatched {
-                        samples_per_s,
-                        max_batch,
-                        batch_timeout,
-                    } => {
-                        let w = &mut workers[wi];
-                        let sample = w.new_request(1, at);
-                        *flow_arrivals += 1;
-                        *flow_admitted += 1;
-                        w.sample_queue.push_back(sample);
-                        w.bus.emit(at.as_nanos(), || EventKind::RequestEnqueued {
-                            request_id: sample.id,
-                        });
-                        w.try_form_batch(rt, at, max_batch, batch_timeout);
-                        if !w.sample_queue.is_empty() {
-                            // Guarantee eventual formation even if no more
-                            // samples arrive (stale timers are harmless).
-                            rt.add_timer(batch_timeout, TOKEN_BATCH_BASE + wi as u64);
-                        }
-                        if at < end {
-                            let gap = exp_sample(arrivals, samples_per_s);
-                            rt.add_timer(gap, token);
-                        }
-                    }
-                }
+                self.on_arrival((token - TOKEN_ARRIVAL_BASE) as usize, at);
             }
-            RtEvent::KernelCompleted { stream, tag, at } => {
-                let wi = worker_on(workers, stream);
-                let w = &mut workers[wi];
-                let Some(done) = w.end_run(tag) else {
-                    return;
-                };
-                let model_name = w.model.name();
-                for req in done {
-                    let latency_ms = at.saturating_since(req.arrival).as_millis_f64();
-                    let request_id = w.records.len() as u64;
-                    w.bus.emit(at.as_nanos(), || EventKind::RequestDone {
-                        request_id,
-                        start_ns: req.arrival.as_nanos(),
-                    });
-                    if obs.metrics.enabled() {
-                        let worker_label = wi.to_string();
-                        let labels = [("model", model_name), ("worker", &worker_label)];
-                        obs.metrics.inc("krisp_requests_total", &labels, 1);
-                        obs.metrics
-                            .observe("krisp_request_latency_ms", &labels, latency_ms);
-                    }
-                    w.records.push((at, latency_ms));
-                    // Feed the brownout controller one headroom sample
-                    // per completion; a transition re-sizes the whole
-                    // runtime's masks (Normal → exact right-sizing,
-                    // Brownout → widened, Shed → full device).
-                    if let (Some(ctl), Some(dl)) = (chain.brownout.as_mut(), deadline_ms) {
-                        if let Some((from, to)) = ctl.observe(latency_ms / dl) {
-                            let p95_pct = (ctl.p95_ratio() * 100.0) as u32;
-                            rt.set_mask_widening(ctl.widening());
-                            w.bus.emit(at.as_nanos(), || EventKind::SentinelTransition {
-                                from: from.code(),
-                                to: to.code(),
-                                p95_pct,
-                            });
-                            if obs.metrics.enabled() {
-                                obs.metrics.inc("krisp_sentinel_transitions_total", &[], 1);
-                                obs.metrics.set_gauge(
-                                    "krisp_sentinel_state",
-                                    &[],
-                                    f64::from(to.code()),
-                                );
-                            }
-                        }
-                    }
-                }
-                start_next(w, rt, config, at, end);
-            }
+            RtEvent::KernelCompleted { stream, tag, at } => self.on_completion(stream, tag, at),
             RtEvent::KernelFailed {
                 stream, tag, at, ..
             } => {
@@ -270,41 +107,189 @@ impl ServerEngine<'_> {
                 // queue was released), so only a *final* kernel's failure
                 // loses the request — the worker then moves on instead of
                 // waiting forever for a completion that cannot come.
-                let wi = worker_on(workers, stream);
-                let w = &mut workers[wi];
+                let wi = worker_on(&self.workers, stream);
+                let w = &mut self.workers[wi];
                 w.failed_kernels += 1;
                 if let Some(lost) = w.end_run(tag) {
                     w.failed_requests += lost.len() as u64;
-                    start_next(w, rt, config, at, end);
+                    self.start_next(wi, at);
                 }
             }
             _ => {}
         }
     }
-}
 
-/// Starts `w`'s next run once its previous one ended at `at`: the closed
-/// loop issues a fresh request until the window ends, Poisson serves
-/// the next runnable queued request, and dynamic batching forms a batch
-/// if one is due.
-fn start_next(w: &mut Worker, rt: &mut Runtime, config: &ServerConfig, at: SimTime, end: SimTime) {
-    match config.arrival {
-        Arrival::ClosedLoop => {
-            if at < end {
-                let req = w.new_request(config.batch, at);
-                w.start_inference(rt, req);
+    /// An open-loop arrival at worker `wi`: a Poisson request goes
+    /// through admission, a sample joins the batching queue; then the
+    /// worker's next arrival is drawn and scheduled until the window
+    /// ends.
+    fn on_arrival(&mut self, wi: usize, at: SimTime) {
+        self.flow_arrivals += 1;
+        let rate = match self.config.arrival {
+            Arrival::ClosedLoop => unreachable!("no arrival timers in closed loop"),
+            Arrival::Poisson { rps_per_worker } => {
+                self.admit(wi, at);
+                rps_per_worker
+            }
+            Arrival::OpenBatched {
+                samples_per_s,
+                max_batch,
+                batch_timeout,
+            } => {
+                self.flow_admitted += 1;
+                let w = &mut self.workers[wi];
+                let sample = w.new_request(1, at);
+                w.sample_queue.push_back(sample);
+                w.bus.emit(at.as_nanos(), || EventKind::RequestEnqueued {
+                    request_id: sample.id,
+                });
+                w.try_form_batch(&mut self.rt, at, max_batch, batch_timeout);
+                if !w.sample_queue.is_empty() {
+                    // Guarantee eventual formation even if no more
+                    // samples arrive (stale timers are harmless).
+                    self.rt
+                        .add_timer(batch_timeout, TOKEN_BATCH_BASE + wi as u64);
+                }
+                samples_per_s
+            }
+        };
+        if at < self.end {
+            let gap = exp_sample(&mut self.arrivals, rate);
+            self.rt.add_timer(gap, TOKEN_ARRIVAL_BASE + wi as u64);
+        }
+    }
+
+    /// Poisson admission at worker `wi`: the sentinel chain, then the
+    /// bounded queue; an admitted request starts at once on an idle
+    /// worker.
+    fn admit(&mut self, wi: usize, at: SimTime) {
+        let w = &mut self.workers[wi];
+        let req = w.new_request(self.config.batch, at);
+        // Guardrails 1+2 compose in the admission chain: Shed-state
+        // policy (no token burned on a Shed rejection), then the
+        // token-bucket rate cap.
+        if !self.chain.admit(wi, at, w.queue.len(), w.busy()) {
+            self.flow_shed_admission += 1;
+            self.shed(wi, req.id, at, "krisp_sentinel_admission_shed_total");
+            return;
+        }
+        if w.queue.push(req).is_ok() {
+            self.flow_admitted += 1;
+            w.bus.emit(at.as_nanos(), || EventKind::RequestEnqueued {
+                request_id: req.id,
+            });
+            if !w.busy() {
+                if let Some(req) = w.pop_runnable(at, self.config.deadline) {
+                    w.start_inference(&mut self.rt, req);
+                }
+            }
+        } else {
+            self.shed(wi, req.id, at, "krisp_requests_shed_total");
+        }
+        if self.obs.metrics.enabled() {
+            self.obs.metrics.set_gauge(
+                "krisp_request_queue_depth",
+                &[("worker", &wi.to_string())],
+                self.workers[wi].queue.len() as f64,
+            );
+        }
+    }
+
+    /// Sheds request `id` at worker `wi`: emits `RequestShed` and bumps
+    /// the worker-labelled counter `metric`.
+    fn shed(&self, wi: usize, id: u64, at: SimTime, metric: &str) {
+        let depth = self.workers[wi].queue.len() as u32;
+        self.workers[wi]
+            .bus
+            .emit(at.as_nanos(), || EventKind::RequestShed {
+                request_id: id,
+                depth,
+            });
+        if self.obs.metrics.enabled() {
+            self.obs
+                .metrics
+                .inc(metric, &[("worker", &wi.to_string())], 1);
+        }
+    }
+
+    /// A kernel completed: if it ends a run, record each request (and
+    /// feed the brownout controller), then start the worker's next run.
+    fn on_completion(&mut self, stream: StreamId, tag: u64, at: SimTime) {
+        let wi = worker_on(&self.workers, stream);
+        let w = &mut self.workers[wi];
+        let Some(done) = w.end_run(tag) else {
+            return;
+        };
+        let model_name = w.model.name();
+        for req in done {
+            let latency_ms = at.saturating_since(req.arrival).as_millis_f64();
+            let request_id = w.records.len() as u64;
+            w.bus.emit(at.as_nanos(), || EventKind::RequestDone {
+                request_id,
+                start_ns: req.arrival.as_nanos(),
+            });
+            if self.obs.metrics.enabled() {
+                let worker_label = wi.to_string();
+                let labels = [("model", model_name), ("worker", &worker_label)];
+                self.obs.metrics.inc("krisp_requests_total", &labels, 1);
+                self.obs
+                    .metrics
+                    .observe("krisp_request_latency_ms", &labels, latency_ms);
+            }
+            w.records.push((at, latency_ms));
+            // Feed the brownout controller one headroom sample per
+            // completion; a transition re-sizes the whole runtime's masks
+            // (Normal → exact right-sizing, Brownout → widened, Shed →
+            // full device).
+            if let (Some(ctl), Some(dl)) = (self.chain.brownout.as_mut(), self.deadline_ms) {
+                if let Some((from, to)) = ctl.observe(latency_ms / dl) {
+                    let p95_pct = (ctl.p95_ratio() * 100.0) as u32;
+                    self.rt.set_mask_widening(ctl.widening());
+                    w.bus.emit(at.as_nanos(), || EventKind::SentinelTransition {
+                        from: from.code(),
+                        to: to.code(),
+                        p95_pct,
+                    });
+                    if self.obs.metrics.enabled() {
+                        self.obs
+                            .metrics
+                            .inc("krisp_sentinel_transitions_total", &[], 1);
+                        self.obs.metrics.set_gauge(
+                            "krisp_sentinel_state",
+                            &[],
+                            f64::from(to.code()),
+                        );
+                    }
+                }
             }
         }
-        Arrival::Poisson { .. } => {
-            if let Some(req) = w.pop_runnable(at, config.deadline) {
-                w.start_inference(rt, req);
+        self.start_next(wi, at);
+    }
+
+    /// Starts worker `wi`'s next run once its previous one ended at `at`:
+    /// the closed loop issues a fresh request until the window ends,
+    /// Poisson serves the next runnable queued request, and dynamic
+    /// batching forms a batch if one is due.
+    fn start_next(&mut self, wi: usize, at: SimTime) {
+        let w = &mut self.workers[wi];
+        match self.config.arrival {
+            Arrival::ClosedLoop => {
+                if at < self.end {
+                    let req = w.new_request(self.config.batch, at);
+                    w.start_inference(&mut self.rt, req);
+                }
             }
+            Arrival::Poisson { .. } => {
+                if let Some(req) = w.pop_runnable(at, self.config.deadline) {
+                    w.start_inference(&mut self.rt, req);
+                }
+            }
+            Arrival::OpenBatched {
+                max_batch,
+                batch_timeout,
+                ..
+            } => w.try_form_batch(&mut self.rt, at, max_batch, batch_timeout),
         }
-        Arrival::OpenBatched {
-            max_batch,
-            batch_timeout,
-            ..
-        } => w.try_form_batch(rt, at, max_batch, batch_timeout),
     }
 }
 
@@ -466,12 +451,8 @@ pub fn run_server_observed(
         deadline_ms: config.deadline.map(|d| d.as_millis_f64()),
         arrivals,
         end,
-        energy_at_warm: 0.0,
-        energy_at_end: f64::NAN,
-        busy_at_warm: 0.0,
-        busy_at_end: f64::NAN,
-        service_at_warm: 0.0,
-        service_at_end: f64::NAN,
+        at_warm: Meter::default(),
+        at_end: Meter::default(),
         flow_arrivals: 0,
         flow_admitted: 0,
         flow_shed_admission: 0,

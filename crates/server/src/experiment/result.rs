@@ -19,16 +19,6 @@ pub(super) fn finish(
 ) -> ExperimentResult {
     let config = engine.config;
     let end = engine.end;
-    if engine.energy_at_end.is_nan() {
-        // The system drained before the window closed (open loop at low
-        // rate): charge idle energy up to the window end.
-        engine
-            .rt
-            .advance_idle(end.saturating_since(engine.rt.now()));
-        engine.energy_at_end = engine.rt.energy_joules();
-        engine.busy_at_end = engine.rt.busy_cu_seconds();
-        engine.service_at_end = engine.rt.service_cu_seconds();
-    }
     let rt = &mut engine.rt;
     let workers = &engine.workers;
 
@@ -102,9 +92,9 @@ pub(super) fn finish(
         policy: config.policy,
         batch: config.batch,
         window: duration,
-        energy_j: engine.energy_at_end - engine.energy_at_warm,
-        busy_cu_seconds: engine.busy_at_end - engine.busy_at_warm,
-        service_cu_seconds: engine.service_at_end - engine.service_at_warm,
+        energy_j: engine.at_end.energy_j - engine.at_warm.energy_j,
+        busy_cu_seconds: engine.at_end.busy_cu_seconds - engine.at_warm.busy_cu_seconds,
+        service_cu_seconds: engine.at_end.service_cu_seconds - engine.at_warm.service_cu_seconds,
         total_cus: config.topology.total_cus(),
         workers: results,
         robustness: Some(robustness),

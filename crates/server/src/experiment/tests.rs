@@ -4,7 +4,7 @@ use krisp::Policy;
 use krisp_models::ModelKind;
 use krisp_obs::{EventKind, Obs};
 use krisp_runtime::{RequiredCusTable, WatchdogConfig};
-use krisp_sim::{FaultPlan, GpuTopology, SimDuration, SimTime};
+use krisp_sim::{FaultPlan, GpuTopology, PowerModel, SimDuration, SimTime};
 
 use crate::metrics::ExperimentResult;
 use crate::{Arrival, BrownoutConfig, CoDelConfig, SentinelConfig, TokenBucketConfig};
@@ -92,6 +92,26 @@ fn poisson_arrivals_track_offered_load() {
     assert!((r.total_rps() - 40.0).abs() < 10.0, "rps {}", r.total_rps());
     // ...and latency near isolated (little queueing).
     assert!(r.max_p95_ms().unwrap() < 30.0);
+}
+
+#[test]
+fn an_idle_window_charges_idle_power_only() {
+    // At this rate no request arrives inside the window: the window-end
+    // meter reading still fires and charges idle power for the window.
+    let mut cfg = ServerConfig::closed_loop(Policy::MpsDefault, vec![ModelKind::Squeezenet], 32);
+    cfg.arrival = Arrival::Poisson {
+        rps_per_worker: 1e-6,
+    };
+    let r = quick(cfg);
+    assert_eq!(r.total_inferences(), 0);
+    assert_eq!(r.busy_cu_seconds, 0.0);
+    assert_eq!(r.service_cu_seconds, 0.0);
+    let idle_j = PowerModel::MI50.idle_w() * r.window.as_secs_f64();
+    assert!(
+        (r.energy_j - idle_j).abs() <= 1e-9 * idle_j,
+        "{} J vs {idle_j} J",
+        r.energy_j
+    );
 }
 
 #[test]

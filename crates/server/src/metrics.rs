@@ -1,9 +1,10 @@
 //! Experiment metrics: throughput, tail latency, SLO checks, energy per
 //! inference.
 //!
-//! The conservation books ([`FlowCounters`], [`RobustnessCounters`],
-//! [`SentinelCounters`]) are shared with the cluster; this module owns
-//! the single-GPU result types built on top of them.
+//! This module owns the single-GPU result types, built on the
+//! conservation books ([`FlowCounters`], [`RobustnessCounters`],
+//! [`SentinelCounters`]); the cluster keeps its own
+//! [`ClusterRobustness`](crate::ClusterRobustness).
 
 use serde::{Deserialize, Serialize};
 

@@ -120,7 +120,7 @@ impl RequestQueue {
     ///
     /// Returns the request itself when the queue is at capacity.
     pub fn push(&mut self, request: InferenceRequest) -> Result<(), InferenceRequest> {
-        if self.capacity.is_some_and(|cap| self.queue.len() >= cap) {
+        if !self.has_room() {
             self.shed += 1;
             return Err(request);
         }
@@ -158,6 +158,12 @@ impl RequestQueue {
     /// The configured capacity (`None` = unbounded).
     pub fn capacity(&self) -> Option<usize> {
         self.capacity
+    }
+
+    /// Whether a push would be accepted: the queue is unbounded or below
+    /// its capacity.
+    pub fn has_room(&self) -> bool {
+        self.capacity.is_none_or(|cap| self.queue.len() < cap)
     }
 
     /// Requests rejected because the queue was full.
@@ -245,12 +251,15 @@ mod tests {
     fn bounded_queue_sheds_at_capacity() {
         let mut q = RequestQueue::bounded(2);
         q.push(req(1)).unwrap();
+        assert!(q.has_room());
         q.push(req(2)).unwrap();
+        assert!(!q.has_room());
         let rejected = q.push(req(3)).unwrap_err();
         assert_eq!(rejected.id, 3);
         assert_eq!(q.shed(), 1);
         // Draining frees capacity again.
         q.pop();
+        assert!(q.has_room());
         q.push(req(4)).unwrap();
         assert_eq!(q.len(), 2);
         assert_eq!(q.max_depth(), 2);

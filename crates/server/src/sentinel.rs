@@ -55,6 +55,7 @@
 use std::collections::VecDeque;
 
 use krisp_runtime::{MaskWidening, RetryBudgetConfig};
+use krisp_sim::stats::percentile;
 use krisp_sim::SimTime;
 
 use crate::codel::CoDelConfig;
@@ -267,15 +268,10 @@ impl BrownoutController {
     }
 
     /// The p95 of the sliding window, as a ratio to the deadline.
-    /// Deterministic: sorted copy, `ceil(0.95 n)`-th order statistic.
+    /// Deterministic: the nearest-rank p95, 0 on an empty window.
     pub fn p95_ratio(&self) -> f64 {
-        if self.window.is_empty() {
-            return 0.0;
-        }
-        let mut v: Vec<f64> = self.window.iter().copied().collect();
-        v.sort_by(f64::total_cmp);
-        let idx = ((v.len() as f64) * 0.95).ceil() as usize;
-        v[idx.clamp(1, v.len()) - 1]
+        let window: Vec<f64> = self.window.iter().copied().collect();
+        percentile(&window, 95.0).unwrap_or(0.0)
     }
 
     /// Records one completed request's `latency / deadline` ratio and

@@ -126,11 +126,6 @@ impl CuKernelCounters {
         self.topology.cus().filter(|&cu| self.get(cu) > 0).collect()
     }
 
-    /// Per-CU counts as a slice indexed by global CU id.
-    pub fn as_slice(&self) -> &[u16] {
-        &self.counts
-    }
-
     /// Hardware storage cost of the counters in bits: 5 bits per CU
     /// (enough for the 32-stream bound). 300 bits on an MI50, matching
     /// the paper's overhead claim (§IV-D3).
