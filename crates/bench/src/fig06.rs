@@ -45,7 +45,7 @@ pub fn report() -> String {
     let points: Vec<Point> = crate::parallel_map(catalogue(), |k| {
         let p = profiler.profile_kernel(&k);
         Point {
-            name: k.name.clone(),
+            name: k.name.to_string(),
             grid_threads: k.grid_threads,
             input_bytes: k.input_bytes,
             min_cus: p.min_cus,

@@ -27,9 +27,20 @@
 //! earlier shader engine. We grant idle CUs unconditionally — the limit
 //! only bounds how many *busy* CUs an allocation may share — which is
 //! the evident intent and keeps the allocation monotone.
+//!
+//! The pseudocode sorts SEs by load and each chosen SE's CUs by
+//! `(count, id)`. This implementation reaches the same masks without a
+//! sort or a heap allocation: SEs are picked by repeated minimum over
+//! their totals, and within an SE the CUs in `(count, id)` order are the
+//! idle CUs in ascending id, then load level 1, 2, … each in ascending id
+//! — read straight off the bit-sliced counters with
+//! [`CuKernelCounters::at_level`]. A differential test checks it against
+//! the sort-based transcription.
 
 use std::fmt;
 
+use krisp_sim::counters::MAX_KERNELS_PER_CU;
+use krisp_sim::topology::MAX_CUS;
 use krisp_sim::{CuKernelCounters, CuMask, GpuTopology, MaskAllocator, SeId};
 
 use crate::distribution::DistributionPolicy;
@@ -143,43 +154,83 @@ impl MaskAllocator for KrispAllocator {
             }
         };
 
-        // Lines 4-8: order SEs by total assigned kernels (stable by id).
-        let mut se_order: Vec<SeId> = topo.ses().collect();
-        se_order.sort_by_key(|&se| (counters.se_total(se), se.0));
+        // Lines 4-8: visit SEs in (total assigned kernels, id) order, by
+        // repeated minimum over the totals — no sort, no allocation.
+        let num_ses = usize::from(topo.num_ses());
+        let mut se_totals = [0u32; MAX_CUS as usize];
+        for se in topo.ses() {
+            se_totals[usize::from(se)] = counters.se_total(se);
+        }
+        let se_totals = &se_totals[..num_ses];
+        let mut chosen: u128 = 0;
 
-        // Lines 9-23: allocate least-loaded CUs within the chosen SEs.
-        let mut mask = CuMask::new();
+        // Lines 9-23: allocate least-loaded CUs within the chosen SEs. In
+        // an SE the pseudocode considers its first `take` CUs in
+        // (count, id) order: the idle ones (all granted), then busy ones
+        // by ascending load level, each counted as overlapped and
+        // granted only while the running overlap stays within the limit.
+        let idle = counters.at_level(0).bits();
+        let mut mask: u128 = 0;
         let mut allocated: u16 = 0;
         let mut overlapped: u16 = 0;
-        for &se in se_order.iter().take(num_se as usize) {
-            let mut cu_order: Vec<_> = topo.cus_in_se(se).collect();
-            cu_order.sort_by_key(|&cu| (counters.get(cu), cu.0));
-            for &cu in cu_order.iter().take(cu_per_se as usize) {
-                if allocated >= num_cus {
+        for _ in 0..usize::from(num_se).min(num_ses) {
+            if allocated >= num_cus {
+                break;
+            }
+            let se = least_loaded_unchosen(se_totals, chosen);
+            chosen |= 1 << se;
+            let in_se = topo.se_mask(SeId(se as u8)).bits();
+            let take = cu_per_se.min(num_cus - allocated);
+            let idle_taken = take.min((idle & in_se).count_ones() as u16);
+            mask |= lowest_n(idle & in_se, idle_taken);
+            let busy_taken = take - idle_taken;
+            let mut grant = busy_taken.min(self.overlap_limit.saturating_sub(overlapped));
+            for level in 1..=MAX_KERNELS_PER_CU {
+                if grant == 0 {
                     break;
                 }
-                if counters.get(cu) > 0 {
-                    overlapped += 1;
-                }
-                if overlapped <= self.overlap_limit || counters.get(cu) == 0 {
-                    mask.set(cu);
-                }
-                allocated += 1;
+                let at = counters.at_level(level).bits() & in_se;
+                let n = grant.min(at.count_ones() as u16);
+                mask |= lowest_n(at, n);
+                grant -= n;
             }
+            overlapped += busy_taken;
+            allocated += take;
         }
 
         // Fallback beyond the pseudocode: a kernel must land somewhere.
         // If every considered CU was busy and the limit forbade them all,
-        // grant the single least-loaded CU on the device.
-        if mask.is_empty() {
-            let cu = topo
-                .cus()
-                .min_by_key(|&cu| (counters.get(cu), cu.0))
+        // grant the single least-loaded CU on the device: the lowest CU
+        // of the lowest non-empty load level.
+        if mask == 0 {
+            let level = (0..=MAX_KERNELS_PER_CU)
+                .map(|k| counters.at_level(k).bits())
+                .find(|&l| l != 0)
                 .expect("device has CUs");
-            mask.set(cu);
+            mask = lowest_n(level, 1);
         }
-        mask
+        CuMask::from_bits(mask)
     }
+}
+
+/// The unchosen SE with the least total load, lower id on ties.
+fn least_loaded_unchosen(se_totals: &[u32], chosen: u128) -> usize {
+    (0..se_totals.len())
+        .filter(|&se| chosen >> se & 1 == 0)
+        .min_by_key(|&se| se_totals[se])
+        .expect("an unchosen SE remains")
+}
+
+/// The lowest `n` set bits of `bits` (all of them when it has fewer).
+fn lowest_n(bits: u128, n: u16) -> u128 {
+    if bits.count_ones() <= u32::from(n) {
+        return bits;
+    }
+    let mut rest = bits;
+    for _ in 0..n {
+        rest &= rest - 1;
+    }
+    bits & !rest
 }
 
 /// A [`MaskAllocator`] wrapper that wall-clock-times every `allocate`
@@ -453,3 +504,6 @@ mod tests {
         assert_eq!(m.used_ses(&t).len(), 4);
     }
 }
+
+#[cfg(test)]
+mod oracle;

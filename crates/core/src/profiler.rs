@@ -142,7 +142,7 @@ impl Profiler {
     /// profiling pass.
     pub fn build_perfdb(&self, kinds: &[ModelKind], batches: &[u32]) -> RequiredCusTable {
         let mut table = RequiredCusTable::new();
-        let mut seen: HashSet<(String, u64, u64)> = HashSet::new();
+        let mut seen = HashSet::new();
         for &kind in kinds {
             for &batch in batches {
                 let trace = generate_trace(

@@ -157,7 +157,7 @@ mod tests {
         // a wide min-CU spread.
         let ks: Vec<_> = catalogue()
             .into_iter()
-            .filter(|k| k.name == "MIOpenConvFFT_fwd_in")
+            .filter(|k| &*k.name == "MIOpenConvFFT_fwd_in")
             .collect();
         let min = ks.iter().map(|k| k.parallelism).min().unwrap();
         let max = ks.iter().map(|k| k.parallelism).max().unwrap();

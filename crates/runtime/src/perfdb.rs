@@ -64,16 +64,22 @@ impl RequiredCusTable {
     /// Panics if `min_cus` is zero.
     pub fn insert(&mut self, kernel: &KernelDesc, min_cus: u16) -> Option<u16> {
         assert!(min_cus > 0, "a kernel needs at least one CU");
+        let sizes = (kernel.grid_threads, kernel.input_bytes);
+        // Probe by `&str` first, so a name already present (most of a
+        // trace's kernels) costs no owned key.
+        if let Some(by_size) = self.entries.get_mut(&*kernel.name) {
+            return by_size.insert(sizes, min_cus);
+        }
         self.entries
-            .entry(kernel.name.clone())
+            .entry(kernel.name.to_string())
             .or_default()
-            .insert((kernel.grid_threads, kernel.input_bytes), min_cus)
+            .insert(sizes, min_cus)
     }
 
     /// The profiled minimum CUs for a kernel, if present.
     pub fn lookup(&self, kernel: &KernelDesc) -> Option<u16> {
         self.entries
-            .get(kernel.name.as_str())?
+            .get(&*kernel.name)?
             .get(&(kernel.grid_threads, kernel.input_bytes))
             .copied()
     }
@@ -105,7 +111,7 @@ impl RequiredCusTable {
             None => Ok(None),
             Some(cus) if cus <= total_cus => Ok(Some(cus)),
             Some(cus) => Err(KrispError::StalePerfDbEntry {
-                kernel: kernel.name.clone(),
+                kernel: kernel.name.to_string(),
                 profiled: cus,
                 total_cus,
             }),

@@ -169,6 +169,9 @@ pub struct Engine {
     /// at the start of every pass ([`Engine::rerate_intersecting`]);
     /// capacity persists so the hot path never allocates.
     share_scratch: Vec<Vec<([u64; 2], f64)>>,
+    /// `se_eff` buffers of finished kernels, reused by the next
+    /// dispatches so a dispatch does not allocate.
+    spare_se_eff: Vec<Vec<f64>>,
 }
 
 /// One memoized [`Engine::next_completion`] answer: the mutation epoch
@@ -217,7 +220,10 @@ impl Engine {
             actives: Vec::new(),
             residents: vec![0; topology.total_cus() as usize],
             next_id: 0,
-            se_words: topology.ses().map(|se| topology.se_words(se)).collect(),
+            se_words: topology
+                .ses()
+                .map(|se| topology.se_mask(se).raw_words())
+                .collect(),
             se_busy: vec![0; topology.num_ses() as usize],
             busy_cus_count: 0,
             busy_ses_count: 0,
@@ -225,6 +231,7 @@ impl Engine {
             rerates: 0,
             completion_memo: Cell::new(None),
             share_scratch: vec![Vec::new(); topology.num_ses() as usize],
+            spare_se_eff: Vec::new(),
         }
     }
 
@@ -340,6 +347,9 @@ impl Engine {
             self.add_resident(usize::from(cu));
         }
         self.rerate_intersecting(&mask);
+        let mut se_eff = self.spare_se_eff.pop().unwrap_or_default();
+        se_eff.clear();
+        se_eff.resize(self.se_words.len(), f64::INFINITY);
         let mut k = ActiveKernel {
             id,
             mask,
@@ -347,7 +357,7 @@ impl Engine {
             bandwidth_floor,
             remaining: work,
             rate: 0.0,
-            se_eff: vec![f64::INFINITY; self.se_words.len()],
+            se_eff,
         };
         // The pass memo is still warm from `rerate_intersecting` above
         // (same residents), so SEs the new kernel shares with a
@@ -428,13 +438,14 @@ impl Engine {
             .iter()
             .position(|k| k.id == id)
             .unwrap_or_else(|| panic!("{id} is not in flight"));
-        let k = self.actives.swap_remove(idx);
-        for cu in &k.mask {
+        let ActiveKernel { mask, se_eff, .. } = self.actives.swap_remove(idx);
+        self.spare_se_eff.push(se_eff);
+        for cu in &mask {
             self.remove_resident(usize::from(cu));
         }
-        self.rerate_intersecting(&k.mask);
+        self.rerate_intersecting(&mask);
         self.epoch += 1;
-        k.mask
+        mask
     }
 
     /// Removes an in-flight kernel *without* completing it (watchdog

@@ -6,7 +6,7 @@
 //! observables plus the two parameters of the analytical execution model
 //! (total work and parallelism knee, see [`crate::contention`]).
 
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use crate::time::SimDuration;
 
@@ -31,10 +31,11 @@ use crate::time::SimDuration;
 /// // Restricting below the knee slows it down proportionally.
 /// assert_eq!(k.isolated_latency(12).as_nanos(), 50_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelDesc {
-    /// Library kernel symbol (e.g. `MIOpenConvFFT_fwd_in`).
-    pub name: String,
+    /// Library kernel symbol (e.g. `MIOpenConvFFT_fwd_in`). Shared, so
+    /// cloning a descriptor on the launch path does not allocate.
+    pub name: Arc<str>,
     /// Total compute demand in CU·nanoseconds.
     pub work: f64,
     /// Parallelism knee: the least CU count at which the kernel runs at
@@ -61,7 +62,7 @@ impl KernelDesc {
     /// # Panics
     ///
     /// Panics if `work` is not finite/positive or `parallelism` is zero.
-    pub fn new(name: impl Into<String>, work: f64, parallelism: u16) -> KernelDesc {
+    pub fn new(name: impl Into<Arc<str>>, work: f64, parallelism: u16) -> KernelDesc {
         assert!(
             work.is_finite() && work > 0.0,
             "kernel work must be finite and positive, got {work}"
@@ -121,7 +122,7 @@ impl KernelDesc {
     /// The profile-database key for this kernel: (name, kernel size,
     /// input size). The paper found neither size alone predicts the
     /// minimum-CU requirement, so all three are needed (§IV-B1).
-    pub fn profile_key(&self) -> (String, u64, u64) {
+    pub fn profile_key(&self) -> (Arc<str>, u64, u64) {
         (self.name.clone(), self.grid_threads, self.input_bytes)
     }
 }
@@ -152,7 +153,7 @@ mod tests {
             .with_input_bytes(1024);
         assert_eq!(k.grid_threads, 256);
         assert_eq!(k.input_bytes, 1024);
-        assert_eq!(k.profile_key(), ("k".to_string(), 256, 1024));
+        assert_eq!(k.profile_key(), (Arc::from("k"), 256, 1024));
     }
 
     #[test]

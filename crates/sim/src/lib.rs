@@ -21,7 +21,8 @@
 //!   KRISP's *kernel-scoped* partition instances via a pluggable
 //!   [`MaskAllocator`];
 //! * per-CU kernel counters ([`CuKernelCounters`]) — the paper's Resource
-//!   Monitor (§IV-D3, 300 bits on an MI50);
+//!   Monitor (§IV-D3), stored as six bit-planes (360 bits on an MI50) so
+//!   Algorithm 1 can walk load levels instead of sorting CUs;
 //! * an activity-proportional [`PowerModel`] with an [`EnergyMeter`].
 //!
 //! Everything is deterministic: the only randomness is a seeded lognormal

@@ -117,8 +117,10 @@ pub struct Machine {
     runnable: BTreeSet<u32>,
     /// Pre-interned metric label values (`queue.0` as a string, indexed
     /// by queue id), so the per-completion hot path never allocates.
+    /// Only read when metrics record, so only built then.
     queue_labels: Vec<String>,
-    /// Pre-interned per-CU label values, indexed by global CU id.
+    /// Pre-interned per-CU label values, indexed by global CU id (built
+    /// only when metrics record).
     cu_labels: Vec<String>,
     pending_dispatch: HashMap<QueueId, DispatchPacket>,
     inflight: HashMap<KernelId, InflightKernel>,
@@ -163,6 +165,13 @@ impl fmt::Debug for Machine {
 impl Machine {
     /// Creates a machine from a configuration.
     pub fn new(config: MachineConfig) -> Machine {
+        let cu_labels = if config.obs.metrics.enabled() {
+            (0..config.topology.total_cus())
+                .map(|cu| cu.to_string())
+                .collect()
+        } else {
+            Vec::new()
+        };
         let mut machine = Machine {
             topology: config.topology,
             power: config.power,
@@ -181,9 +190,7 @@ impl Machine {
             queues: Vec::new(),
             runnable: BTreeSet::new(),
             queue_labels: Vec::new(),
-            cu_labels: (0..config.topology.total_cus())
-                .map(|cu| cu.to_string())
-                .collect(),
+            cu_labels,
             pending_dispatch: HashMap::new(),
             inflight: HashMap::new(),
             waiting_on_signal: HashMap::new(),
@@ -328,7 +335,9 @@ impl Machine {
     pub fn create_queue(&mut self) -> QueueId {
         let id = QueueId(self.queues.len() as u32);
         self.queues.push(HsaQueue::new(id, &self.topology));
-        self.queue_labels.push(id.0.to_string());
+        if self.obs.metrics.enabled() {
+            self.queue_labels.push(id.0.to_string());
+        }
         id
     }
 
@@ -654,12 +663,13 @@ impl Machine {
         if self.runnable.is_empty() {
             return;
         }
-        // Snapshot: pumping one queue never makes another runnable (all
-        // effects are queue-local), so ascending-index iteration over the
-        // current members matches the old full scan exactly.
-        let snapshot: Vec<u32> = self.runnable.iter().copied().collect();
-        for qi in snapshot {
-            let qi = qi as usize;
+        // Cursor walk: pumping one queue never makes another runnable
+        // (all effects are queue-local), so ascending-index iteration over
+        // the members past the cursor matches the old full scan exactly.
+        let mut cursor = 0;
+        while let Some(&next) = self.runnable.range(cursor..).next() {
+            cursor = next + 1;
+            let qi = next as usize;
             loop {
                 if !self.queue_runnable(&self.queues[qi]) {
                     break;

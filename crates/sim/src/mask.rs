@@ -49,12 +49,7 @@ impl CuMask {
     /// size). Useful for quick tests; policy code should prefer the
     /// distribution strategies in the `krisp` crate.
     pub fn first_n(n: u16, topo: &GpuTopology) -> CuMask {
-        let n = n.min(topo.total_cus());
-        let mut m = CuMask::new();
-        for cu in 0..n {
-            m.set(CuId(cu));
-        }
-        m
+        CuMask::from_bits(low_bits(n.min(topo.total_cus()).into()))
     }
 
     /// Reconstructs a mask from its two raw 64-bit words (low word first),
@@ -66,6 +61,18 @@ impl CuMask {
     /// The raw 64-bit words (low word first).
     pub fn raw_words(&self) -> [u64; 2] {
         self.words
+    }
+
+    /// Builds a mask from one 128-bit integer: bit `i` is CU `i`.
+    pub const fn from_bits(bits: u128) -> CuMask {
+        CuMask {
+            words: [bits as u64, (bits >> 64) as u64],
+        }
+    }
+
+    /// The mask as one 128-bit integer: bit `i` is CU `i`.
+    pub const fn bits(&self) -> u128 {
+        (self.words[1] as u128) << 64 | self.words[0] as u128
     }
 
     /// Adds a CU to the mask.
@@ -113,16 +120,12 @@ impl CuMask {
 
     /// The subset of this mask that falls within one shader engine.
     pub fn se_submask(&self, topo: &GpuTopology, se: SeId) -> CuMask {
-        let w = topo.se_words(se);
-        CuMask {
-            words: [self.words[0] & w[0], self.words[1] & w[1]],
-        }
+        *self & topo.se_mask(se)
     }
 
     /// Number of mask CUs inside one shader engine.
     pub fn count_in_se(&self, topo: &GpuTopology, se: SeId) -> u16 {
-        let w = topo.se_words(se);
-        ((self.words[0] & w[0]).count_ones() + (self.words[1] & w[1]).count_ones()) as u16
+        self.se_submask(topo, se).count()
     }
 
     /// The shader engines covered by at least one mask CU, ascending.
@@ -143,6 +146,15 @@ impl CuMask {
     /// True if every CU of `self` is also in `other`.
     pub fn is_subset_of(&self, other: &CuMask) -> bool {
         (self.words[0] & !other.words[0]) | (self.words[1] & !other.words[1]) == 0
+    }
+}
+
+/// The lowest `n` bits set; all 128 when `n >= 128`.
+pub(crate) const fn low_bits(n: u32) -> u128 {
+    if n >= u128::BITS {
+        u128::MAX
+    } else {
+        (1u128 << n) - 1
     }
 }
 
@@ -329,6 +341,20 @@ mod tests {
     fn raw_words_round_trip() {
         let m: CuMask = [CuId(0), CuId(64), CuId(127)].into_iter().collect();
         assert_eq!(CuMask::from_raw_words(m.raw_words()), m);
+    }
+
+    #[test]
+    fn bits_round_trip_and_match_cu_order() {
+        let m: CuMask = [CuId(0), CuId(63), CuId(64), CuId(127)]
+            .into_iter()
+            .collect();
+        assert_eq!(m.bits(), 1 | 1 << 63 | 1 << 64 | 1 << 127);
+        assert_eq!(CuMask::from_bits(m.bits()), m);
+        assert_eq!(
+            CuMask::first_n(128, &GpuTopology::new(8, 16)).bits(),
+            u128::MAX
+        );
+        assert_eq!(CuMask::first_n(3, &topo()).bits(), 0b111);
     }
 
     #[test]

@@ -10,6 +10,8 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::mask::{low_bits, CuMask};
+
 /// Maximum number of CUs a [`crate::CuMask`] can represent (two 64-bit words).
 pub const MAX_CUS: u16 = 128;
 
@@ -169,33 +171,16 @@ impl GpuTopology {
         (base..base + self.cus_per_se as u16).map(CuId)
     }
 
-    /// The 128-bit word pair (low word first) covering exactly the CUs of
-    /// one shader engine — the bit layout of [`crate::CuMask`]. CUs are
-    /// contiguous per SE, so this is a shifted run of `cus_per_se` ones.
+    /// The CUs of one shader engine as a mask. CUs are contiguous per
+    /// SE, so this is a shifted run of `cus_per_se` ones.
     ///
     /// # Panics
     ///
     /// Panics if `se` is out of range.
-    pub fn se_words(&self, se: SeId) -> [u64; 2] {
+    pub fn se_mask(&self, se: SeId) -> CuMask {
         assert!(se.0 < self.num_ses, "{se} out of range");
         let base = u32::from(se.0) * u32::from(self.cus_per_se);
-        let end = base + u32::from(self.cus_per_se);
-        let mut words = [0u64; 2];
-        for (i, w) in words.iter_mut().enumerate() {
-            let lo = i as u32 * 64;
-            let s = base.max(lo);
-            let e = end.min(lo + 64);
-            if s < e {
-                let run = e - s;
-                let bits = if run == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << run) - 1
-                };
-                *w = bits << (s - lo);
-            }
-        }
-        words
+        CuMask::from_bits(low_bits(self.cus_per_se.into()) << base)
     }
 }
 
