@@ -17,7 +17,7 @@
 use std::collections::HashSet;
 
 use krisp_models::{generate_trace, ModelKind, TraceConfig};
-use krisp_runtime::{PartitionMode, RequiredCusTable, Runtime, RuntimeConfig};
+use krisp_runtime::{PartitionMode, RequiredCusTable, Runtime, RuntimeConfig, StreamId};
 use krisp_sim::{DispatchCosts, GpuTopology, KernelDesc, SimDuration};
 
 use crate::distribution::{select_cus, DistributionPolicy};
@@ -66,14 +66,31 @@ pub struct ModelCurve {
     pub knee: u16,
 }
 
+/// One profiling runtime with one stream, re-masked per measurement.
+/// Jitter is off and launch delays and completions are relative to the
+/// current instant, so a measurement does not depend on what ran before.
+struct Rig {
+    rt: Runtime,
+    stream: StreamId,
+}
+
+impl Rig {
+    fn measure(&mut self, trace: &[KernelDesc], cus: u16) -> SimDuration {
+        let mask = select_cus(DistributionPolicy::Conserved, cus, &self.rt.topology());
+        self.rt
+            .set_stream_mask(self.stream, mask)
+            .expect("valid profiling mask");
+        let start = self.rt.now();
+        for (i, k) in trace.iter().enumerate() {
+            self.rt.launch(self.stream, k.clone(), i as u64);
+        }
+        self.rt.run_to_idle();
+        self.rt.now().saturating_since(start)
+    }
+}
+
 impl Profiler {
-    /// Measures the end-to-end latency of running `trace` serially under
-    /// a Conserved restriction to `cus` CUs (deterministic: jitter off).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cus` is zero or exceeds the device.
-    pub fn measure_trace(&self, trace: &[KernelDesc], cus: u16) -> SimDuration {
+    fn rig(&self) -> Rig {
         let mut rt = Runtime::new(RuntimeConfig {
             topology: self.topology,
             costs: self.costs,
@@ -81,32 +98,37 @@ impl Profiler {
             jitter_sigma: 0.0,
             ..RuntimeConfig::default()
         });
-        let s = rt.create_stream();
-        rt.set_stream_mask(
-            s,
-            select_cus(DistributionPolicy::Conserved, cus, &self.topology),
-        )
-        .expect("valid profiling mask");
-        for (i, k) in trace.iter().enumerate() {
-            rt.launch(s, k.clone(), i as u64);
-        }
-        rt.run_to_idle();
-        rt.now().saturating_since(krisp_sim::SimTime::ZERO)
+        let stream = rt.create_stream();
+        Rig { rt, stream }
+    }
+
+    /// Measures the end-to-end latency of running `trace` serially under
+    /// a Conserved restriction to `cus` CUs (deterministic: jitter off).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cus` is zero or exceeds the device.
+    pub fn measure_trace(&self, trace: &[KernelDesc], cus: u16) -> SimDuration {
+        self.rig().measure(trace, cus)
     }
 
     /// Profiles a single kernel: finds its minimum required CUs against
     /// the full-GPU latency.
     pub fn profile_kernel(&self, kernel: &KernelDesc) -> KernelProfile {
+        self.profile_kernel_on(&mut self.rig(), kernel)
+    }
+
+    fn profile_kernel_on(&self, rig: &mut Rig, kernel: &KernelDesc) -> KernelProfile {
         let total = self.topology.total_cus();
         let trace = [kernel.clone()];
-        let full = self.measure_trace(&trace, total).as_nanos() as f64;
+        let full = rig.measure(&trace, total).as_nanos() as f64;
         let limit = full * (1.0 + self.tolerance);
         // Least n within tolerance, scanned from below. A binary search
         // would be unsound: the Conserved rate function dips slightly at
         // SE-count boundaries (e.g. 46 CUs = 4x11 effective on the MI50
         // vs 45 = 3x15), so the fit predicate is not monotone.
         let min_cus = (1..=total)
-            .find(|&n| (self.measure_trace(&trace, n).as_nanos() as f64) <= limit)
+            .find(|&n| (rig.measure(&trace, n).as_nanos() as f64) <= limit)
             .expect("the full device always fits");
         KernelProfile {
             kernel: kernel.clone(),
@@ -125,8 +147,9 @@ impl Profiler {
                 ..TraceConfig::default()
             },
         );
+        let mut rig = self.rig();
         let points: Vec<(u16, SimDuration)> = (1..=self.topology.total_cus())
-            .map(|n| (n, self.measure_trace(&trace, n)))
+            .map(|n| (n, rig.measure(&trace, n)))
             .collect();
         let knee = knee_from_curve(&points, self.tolerance);
         ModelCurve {
@@ -143,6 +166,7 @@ impl Profiler {
     pub fn build_perfdb(&self, kinds: &[ModelKind], batches: &[u32]) -> RequiredCusTable {
         let mut table = RequiredCusTable::new();
         let mut seen = HashSet::new();
+        let mut rig = self.rig();
         for &kind in kinds {
             for &batch in batches {
                 let trace = generate_trace(
@@ -155,7 +179,7 @@ impl Profiler {
                 );
                 for kernel in trace {
                     if seen.insert(kernel.profile_key()) {
-                        let p = self.profile_kernel(&kernel);
+                        let p = self.profile_kernel_on(&mut rig, &kernel);
                         table.insert(&p.kernel, p.min_cus);
                     }
                 }
@@ -229,6 +253,31 @@ mod tests {
         let full_ms = curve.points.last().unwrap().1.as_millis_f64();
         let expected_ms = paper_profile(ModelKind::Squeezenet).p95_ms;
         assert!((full_ms - expected_ms).abs() / expected_ms < 0.02);
+    }
+
+    #[test]
+    fn reused_runtime_matches_one_shot_measurements() {
+        // One runtime per pass must give exactly the curves and tables
+        // of a fresh runtime per measurement, at every CU count.
+        let p = Profiler::default();
+        let total = p.topology.total_cus();
+        for kind in [ModelKind::Squeezenet, ModelKind::Alexnet] {
+            let trace = generate_trace(kind, &TraceConfig::default());
+            let curve = p.profile_model(kind, 32);
+            let one_shot: Vec<_> = (1..=total)
+                .map(|n| (n, p.measure_trace(&trace, n)))
+                .collect();
+            assert_eq!(curve.points, one_shot, "{kind} curve");
+            let db = p.build_perfdb(&[kind], &[32]);
+            for k in &trace {
+                let single = std::slice::from_ref(k);
+                let limit = p.measure_trace(single, total).as_nanos() as f64 * (1.0 + p.tolerance);
+                let min = (1..=total)
+                    .find(|&n| p.measure_trace(single, n).as_nanos() as f64 <= limit)
+                    .expect("the full device always fits");
+                assert_eq!(db.lookup(k), Some(min), "{kind} {}", k.name);
+            }
+        }
     }
 
     #[test]

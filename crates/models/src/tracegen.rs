@@ -15,6 +15,8 @@
 //! * the model-wise knee of the analytic latency curve (1 % tolerance) =
 //!   Table III right-size.
 
+use std::sync::Arc;
+
 use krisp_sim::{KernelDesc, SimDuration};
 
 use crate::profile::paper_profile;
@@ -165,6 +167,8 @@ pub fn generate_trace(kind: ModelKind, config: &TraceConfig) -> Vec<KernelDesc> 
         let class_time_ns = class.time_share * compute_ns;
         let weights: Vec<f64> = (0..count).map(|i| variation(ci, i)).collect();
         let weight_sum: f64 = weights.iter().sum();
+        // One name allocation per class, shared by all its kernels.
+        let name: Arc<str> = class.role.library_name(ci).into();
         let kernels = weights
             .iter()
             .enumerate()
@@ -173,7 +177,7 @@ pub fn generate_trace(kind: ModelKind, config: &TraceConfig) -> Vec<KernelDesc> 
                 let work = exec_time_ns * parallelism as f64;
                 let grid = grid_threads(class, parallelism, config.batch, i);
                 let input = input_bytes(class, config.batch, i);
-                KernelDesc::new(class.role.library_name(ci), work.max(1.0), parallelism)
+                KernelDesc::new(name.clone(), work.max(1.0), parallelism)
                     .with_grid_threads(grid)
                     .with_input_bytes(input)
                     .with_bandwidth_floor(
@@ -312,6 +316,22 @@ mod tests {
         let a = default_trace(ModelKind::Resnet152);
         let b = default_trace(ModelKind::Resnet152);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn kernels_of_one_class_share_one_name_allocation() {
+        for p in PAPER_TABLE3 {
+            let trace = default_trace(p.kind);
+            let mut names: Vec<&Arc<str>> = Vec::new();
+            for k in &trace {
+                if !names.iter().any(|n| Arc::ptr_eq(n, &k.name)) {
+                    names.push(&k.name);
+                }
+            }
+            // Every class emits at least one kernel, so one allocation
+            // per class means exactly this many distinct names.
+            assert_eq!(names.len(), model_spec(p.kind).classes.len(), "{}", p.kind);
+        }
     }
 
     #[test]

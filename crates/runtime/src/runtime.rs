@@ -1,8 +1,9 @@
 //! The runtime proper: streams, launch interception, and the emulation
 //! machinery. See the [crate docs](crate) for the big picture.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
 
 use krisp_obs::{EventKind, Obs};
@@ -20,23 +21,14 @@ use crate::runtime_config::{
 };
 
 /// Tokens/tags with this bit set are reserved for the runtime's internal
-/// emulation machinery.
+/// emulation machinery. Every internal token is `INTERNAL_BIT | n`, with
+/// `n` drawn from one counter, so no two pending entries share a token.
 const INTERNAL_BIT: u64 = 1 << 63;
 
-/// Internal tokens carry their subsystem in bits 61–62, so a timer whose
-/// state was already cleaned up (e.g. a watchdog deadline firing after
-/// its kernel completed) is recognizably stale instead of being
-/// misrouted to another subsystem.
-const KIND_SHIFT: u32 = 61;
-const KIND_BITS: u64 = 0b11 << KIND_SHIFT;
-/// Emulation machinery: barrier tags and reconfiguration timers.
-const KIND_EMU: u64 = 0b00 << KIND_SHIFT;
-/// Watchdog deadline timers.
-const KIND_WATCHDOG: u64 = 0b01 << KIND_SHIFT;
-/// Retry-backoff queue-release timers.
-const KIND_RELEASE: u64 = 0b10 << KIND_SHIFT;
-/// CU-mask apply retry timers.
-const KIND_MASK_RETRY: u64 = 0b11 << KIND_SHIFT;
+/// A hash map with fixed SipHash keys. With per-process random keys, the
+/// slots freed by per-kernel churn, and so whether an insert rehashes in
+/// place or reallocates, would vary, and allocation counts with them.
+type Table<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
 #[derive(Debug, Clone, Copy)]
 struct EmuPending {
@@ -54,13 +46,35 @@ struct WdArm {
     expected: SimDuration,
 }
 
-/// A pending CU-mask apply retry (the IOCTL was rejected by an injected
-/// fault and is being re-attempted after backoff).
-#[derive(Debug, Clone, Copy)]
-struct MaskRetry {
-    pending: EmuPending,
-    mask: CuMask,
-    attempt: u32,
+/// What an internal barrier tag or timer token stands for. Each entry
+/// stays in [`Runtime::pending`] until its barrier is consumed or its
+/// timer fires.
+#[derive(Debug)]
+enum Internal {
+    /// A B1 barrier: once consumed, the reconfiguration begins.
+    Barrier(EmuPending),
+    /// The reconfiguration timer, with the instant it began.
+    Reconfig(EmuPending, SimTime),
+    /// A watchdog deadline; it counts only while its kernel's [`Guard`]
+    /// is armed with this token.
+    Deadline(WdArm),
+    /// A retry backoff elapsed: release the held queue.
+    Release(QueueId),
+    /// Re-attempt `attempt + 1` of a CU-mask apply that an injected
+    /// fault rejected.
+    MaskRetry(EmuPending, CuMask, u32),
+}
+
+/// Watchdog state for one launched kernel (kept only while a watchdog is
+/// configured), keyed by `(queue, tag)`.
+#[derive(Debug)]
+struct Guard {
+    /// The launch-time descriptor, for expected-duration estimates.
+    kernel: KernelDesc,
+    /// The token of the deadline currently armed for it, if any.
+    armed: Option<u64>,
+    /// Timeouts already charged to it (survives across retries).
+    attempts: u32,
 }
 
 /// The GPU runtime: owns the simulated machine and implements the
@@ -72,31 +86,14 @@ pub struct Runtime {
     /// Allocator used by the *emulated* path (the native path's allocator
     /// lives inside the machine's packet processor).
     emu_allocator: Option<Box<dyn MaskAllocator>>,
-    /// B1-barrier tag → pending emulation step.
-    emu_on_barrier: HashMap<u64, EmuPending>,
-    /// Internal timer token → pending emulation step and the instant the
-    /// reconfiguration began (B1 consumption).
-    emu_on_timer: HashMap<u64, (EmuPending, SimTime)>,
-    /// B2-barrier tags to swallow silently.
-    emu_b2_tags: HashSet<u64>,
+    /// Internal barrier tag or timer token → what it stands for.
+    pending: Table<u64, Internal>,
     next_internal: u64,
     emulated_launches: u64,
-    buffered: VecDeque<RtEvent>,
     obs: Obs,
     watchdog: Option<WatchdogConfig>,
-    /// Watchdog-timer token → the kernel it guards.
-    wd_armed: HashMap<u64, WdArm>,
-    /// (queue, tag) → armed watchdog token, to disarm on completion.
-    wd_by_kernel: HashMap<(QueueId, u64), u64>,
-    /// Timeouts already charged to a kernel (survives across retries).
-    wd_attempts: HashMap<(QueueId, u64), u32>,
-    /// Backoff-timer token → queue to release for a retry.
-    wd_release: HashMap<u64, QueueId>,
-    /// Launch-time kernel descriptors (kept only while a watchdog is
-    /// configured) for expected-duration estimates.
-    launched: HashMap<(QueueId, u64), KernelDesc>,
-    /// Backoff-timer token → pending mask-apply retry.
-    mask_retry: HashMap<u64, MaskRetry>,
+    /// Watchdog state of every launched kernel, by `(queue, tag)`.
+    guards: Table<(QueueId, u64), Guard>,
     /// Streams permanently downgraded from kernel-scoped emulation to
     /// stream-scoped masking after persistent mask-apply faults.
     stream_fallback: HashSet<QueueId>,
@@ -157,20 +154,12 @@ impl Runtime {
             mode: config.mode,
             perfdb: config.perfdb,
             emu_allocator: emu_alloc,
-            emu_on_barrier: HashMap::new(),
-            emu_on_timer: HashMap::new(),
-            emu_b2_tags: HashSet::new(),
+            pending: Table::default(),
             next_internal: 0,
             emulated_launches: 0,
-            buffered: VecDeque::new(),
             obs: config.obs,
             watchdog: config.watchdog,
-            wd_armed: HashMap::new(),
-            wd_by_kernel: HashMap::new(),
-            wd_attempts: HashMap::new(),
-            wd_release: HashMap::new(),
-            launched: HashMap::new(),
-            mask_retry: HashMap::new(),
+            guards: Table::default(),
             stream_fallback: HashSet::new(),
             errors: Vec::new(),
             retry_budget: config.retry_budget.map(RetryBudget::new),
@@ -312,45 +301,46 @@ impl Runtime {
         assert_eq!(tag & INTERNAL_BIT, 0, "tag bit 63 is reserved");
         let queue: QueueId = stream.into();
         if self.watchdog.is_some() {
-            self.launched.insert((queue, tag), kernel.clone());
+            // A reused (queue, tag) keeps its armed deadline and attempts.
+            self.guards
+                .entry((queue, tag))
+                .and_modify(|g| g.kernel = kernel.clone())
+                .or_insert_with(|| Guard {
+                    kernel: kernel.clone(),
+                    armed: None,
+                    attempts: 0,
+                });
         }
         match self.mode {
-            PartitionMode::StreamMasking => {
-                self.machine.push_dispatch(queue, kernel, tag);
-            }
             PartitionMode::KernelScopedNative => {
                 let required = self.right_size(&kernel);
                 self.machine
                     .push_sized_dispatch(queue, kernel, required, tag);
             }
-            PartitionMode::KernelScopedEmulated(_) => {
-                if self.stream_fallback.contains(&queue) {
-                    // This stream's mask IOCTLs keep faulting; it runs in
-                    // degraded stream-scoped mode on its last good mask.
-                    self.machine.push_dispatch(queue, kernel, tag);
-                    return;
-                }
+            PartitionMode::KernelScopedEmulated(_) if !self.stream_fallback.contains(&queue) => {
                 let required = self.right_size(&kernel);
-                let b1 = self.next_internal_token(KIND_EMU);
-                let b2 = self.next_internal_token(KIND_EMU);
+                let b1 = draw_token(&mut self.next_internal);
+                let b2 = draw_token(&mut self.next_internal);
                 let signal = self.machine.create_signal();
                 self.machine.push_barrier(queue, None, b1);
                 self.machine.push_barrier(queue, Some(signal), b2);
                 self.machine.push_dispatch(queue, kernel, tag);
-                self.emu_on_barrier.insert(
+                self.pending.insert(
                     b1,
-                    EmuPending {
+                    Internal::Barrier(EmuPending {
                         queue,
                         required_cus: required,
                         signal,
-                    },
+                    }),
                 );
-                self.emu_b2_tags.insert(b2);
                 self.emulated_launches += 1;
                 self.obs
                     .metrics
                     .inc("krisp_emulated_launches_total", &[], 1);
             }
+            // Stream masking, or an emulated stream whose mask IOCTLs keep
+            // faulting: it runs degraded on its last good stream mask.
+            _ => self.machine.push_dispatch(queue, kernel, tag),
         }
     }
 
@@ -384,9 +374,6 @@ impl Runtime {
     /// The instant of the runtime's next event (`None` when drained) —
     /// see `Machine::next_event_at`.
     pub fn next_event_at(&self) -> Option<krisp_sim::SimTime> {
-        if !self.buffered.is_empty() {
-            return Some(self.machine.now());
-        }
         self.machine.next_event_at()
     }
 
@@ -394,9 +381,6 @@ impl Runtime {
     /// simulation has fully drained. Internal emulation events (barrier
     /// callbacks, IOCTL completions) are handled transparently.
     pub fn step(&mut self) -> Option<RtEvent> {
-        if let Some(ev) = self.buffered.pop_front() {
-            return Some(ev);
-        }
         loop {
             let ev = self.machine.step()?;
             match ev {
@@ -415,7 +399,9 @@ impl Runtime {
                     });
                 }
                 SimEvent::KernelCompleted { queue, tag, at } => {
-                    self.disarm_watchdog(queue, tag);
+                    // Clears all watchdog state; the deadline timer still
+                    // fires later and finds no armed guard.
+                    self.guards.remove(&(queue, tag));
                     if let Some(budget) = self.retry_budget.as_mut() {
                         budget.record_success(at);
                     }
@@ -437,7 +423,8 @@ impl Runtime {
                     }
                 }
                 SimEvent::BarrierConsumed { tag, .. } => {
-                    if let Some(pending) = self.emu_on_barrier.remove(&tag) {
+                    // B2 barriers are release fences with no entry.
+                    if let Some(Internal::Barrier(pending)) = self.pending.remove(&tag) {
                         // B1 consumed: schedule the runtime callback +
                         // IOCTL, after which the queue mask is rewritten
                         // and B2 released.
@@ -445,7 +432,7 @@ impl Runtime {
                             PartitionMode::KernelScopedEmulated(c) => c,
                             _ => unreachable!("emulation barrier outside emulated mode"),
                         };
-                        let token = self.next_internal_token(KIND_EMU);
+                        let token = draw_token(&mut self.next_internal);
                         let started = self.machine.now();
                         self.obs
                             .bus
@@ -453,11 +440,9 @@ impl Runtime {
                                 queue: pending.queue.0,
                                 token,
                             });
-                        self.emu_on_timer.insert(token, (pending, started));
+                        self.pending
+                            .insert(token, Internal::Reconfig(pending, started));
                         self.machine.add_timer(costs.per_kernel(), token);
-                    } else {
-                        // B2 barriers are release fences; nothing to do.
-                        self.emu_b2_tags.remove(&tag);
                     }
                 }
             }
@@ -476,65 +461,54 @@ impl Runtime {
     /// Routes an internal timer to its subsystem. Returns a client event
     /// only when a kernel is abandoned.
     fn handle_internal_timer(&mut self, token: u64, at: SimTime) -> Option<RtEvent> {
-        match token & KIND_BITS {
-            KIND_WATCHDOG => {
-                // A missing arm means the kernel completed before its
-                // deadline fired — the timer is stale.
-                let arm = self.wd_armed.remove(&token)?;
-                self.handle_watchdog_deadline(arm, at)
+        match self.pending.remove(&token) {
+            Some(Internal::Reconfig(pending, started)) => {
+                self.finish_emulated_reconfiguration(token, pending, started);
             }
-            KIND_RELEASE => {
-                if let Some(queue) = self.wd_release.remove(&token) {
-                    // Backoff elapsed: let the command processor re-pop
-                    // the retried packet.
-                    self.machine.release_queue(queue);
+            Some(Internal::Deadline(arm)) => {
+                // The deadline is stale unless its kernel is still armed
+                // with it: the kernel completed, or its (queue, tag) was
+                // reused by a later launch.
+                match self.guards.get_mut(&(arm.queue, arm.tag)) {
+                    Some(guard) if guard.armed == Some(token) => guard.armed = None,
+                    _ => return None,
                 }
-                None
+                return self.handle_watchdog_deadline(arm, at);
             }
-            KIND_MASK_RETRY => {
-                if let Some(retry) = self.mask_retry.remove(&token) {
-                    self.apply_emulated_mask(retry.pending, retry.mask, retry.attempt + 1);
-                }
-                None
+            // Backoff elapsed: let the command processor re-pop the
+            // retried packet.
+            Some(Internal::Release(queue)) => self.machine.release_queue(queue),
+            Some(Internal::MaskRetry(pending, mask, attempt)) => {
+                self.apply_emulated_mask(pending, mask, attempt + 1);
             }
-            _ => {
-                self.finish_emulated_reconfiguration(token);
-                None
+            Some(Internal::Barrier(_)) | None => {
+                self.errors.push(KrispError::InternalState {
+                    detail: format!("internal timer {token:#x} without a pending entry"),
+                });
             }
         }
+        None
     }
 
     /// Arms a watchdog deadline for a kernel that just started.
     fn arm_watchdog(&mut self, queue: QueueId, tag: u64, at: SimTime, mask: &CuMask) {
         let Some(wd) = self.watchdog else { return };
-        let Some(desc) = self.launched.get(&(queue, tag)) else {
+        let Some(guard) = self.guards.get_mut(&(queue, tag)) else {
             return;
         };
-        let expected = desc.isolated_latency(mask.count());
-        let token = self.next_internal_token(KIND_WATCHDOG);
-        self.wd_armed.insert(
+        let expected = guard.kernel.isolated_latency(mask.count());
+        let token = draw_token(&mut self.next_internal);
+        guard.armed = Some(token);
+        self.pending.insert(
             token,
-            WdArm {
+            Internal::Deadline(WdArm {
                 queue,
                 tag,
                 started: at,
                 expected,
-            },
+            }),
         );
-        self.wd_by_kernel.insert((queue, tag), token);
         self.machine.add_timer(wd.deadline(expected), token);
-    }
-
-    /// Clears all watchdog state for a kernel that completed normally.
-    fn disarm_watchdog(&mut self, queue: QueueId, tag: u64) {
-        let key = (queue, tag);
-        if let Some(token) = self.wd_by_kernel.remove(&key) {
-            // The deadline timer still fires later; removing the arm
-            // marks it stale.
-            self.wd_armed.remove(&token);
-        }
-        self.wd_attempts.remove(&key);
-        self.launched.remove(&key);
     }
 
     /// A kernel blew its deadline: abort it, then retry after backoff or
@@ -542,7 +516,6 @@ impl Runtime {
     fn handle_watchdog_deadline(&mut self, arm: WdArm, at: SimTime) -> Option<RtEvent> {
         let wd = self.watchdog.unwrap_or_default();
         let key = (arm.queue, arm.tag);
-        self.wd_by_kernel.remove(&key);
         let Some(packet) = self.machine.abort_inflight(arm.queue) else {
             // The kernel slipped out between deadline computation and
             // firing; nothing in flight to abort.
@@ -561,11 +534,10 @@ impl Runtime {
             });
             return None;
         }
-        let attempts = {
-            let a = self.wd_attempts.entry(key).or_insert(0);
-            *a += 1;
-            *a
-        };
+        let attempts = self.guards.get_mut(&key).map_or(1, |g| {
+            g.attempts += 1;
+            g.attempts
+        });
         let ran = at.saturating_since(arm.started);
         self.obs
             .bus
@@ -577,9 +549,11 @@ impl Runtime {
             });
         self.obs.metrics.inc("krisp_kernel_timeouts_total", &[], 1);
         // The retry budget is evaluated lazily here rather than via its
-        // own timer (the 2-bit internal-token kind field is full). Window
-        // expiry deterministically precedes the allowance check when both
-        // land on this tick — see `budget` module docs for the tie-break.
+        // own expiry timer: such a timer would split the machine's
+        // integration intervals and so move the energy and utilization
+        // bits. Window expiry deterministically precedes the allowance
+        // check when both land on this tick — see `budget` module docs
+        // for the tie-break.
         let mut budget_denied = false;
         if attempts <= wd.max_retries {
             let granted = match self.retry_budget.as_mut() {
@@ -597,8 +571,8 @@ impl Runtime {
                     .push_packet_front(arm.queue, AqlPacket::Dispatch(packet));
                 // The queue stays held until the backoff elapses; attempt n
                 // backs off n × the base.
-                let token = self.next_internal_token(KIND_RELEASE);
-                self.wd_release.insert(token, arm.queue);
+                let token = draw_token(&mut self.next_internal);
+                self.pending.insert(token, Internal::Release(arm.queue));
                 self.machine.add_timer(wd.backoff * attempts as u64, token);
                 return None;
             }
@@ -623,8 +597,7 @@ impl Runtime {
         self.obs
             .metrics
             .inc("krisp_kernels_abandoned_total", &[], 1);
-        self.wd_attempts.remove(&key);
-        self.launched.remove(&key);
+        self.guards.remove(&key);
         // Drop the packet and let the rest of the stream continue.
         self.machine.release_queue(arm.queue);
         let error = if budget_denied {
@@ -648,20 +621,13 @@ impl Runtime {
         })
     }
 
-    fn finish_emulated_reconfiguration(&mut self, token: u64) {
-        let Some((pending, started)) = self.emu_on_timer.remove(&token) else {
-            self.errors.push(KrispError::InternalState {
-                detail: format!("internal timer {token:#x} without pending reconfiguration"),
-            });
-            return;
-        };
-        let Some(allocator) = self.emu_allocator.as_mut() else {
-            self.errors.push(KrispError::InternalState {
-                detail: "emulation step without an allocator".to_string(),
-            });
-            self.machine.complete_signal(pending.signal);
-            return;
-        };
+    fn finish_emulated_reconfiguration(
+        &mut self,
+        token: u64,
+        pending: EmuPending,
+        started: SimTime,
+    ) {
+        let allocator = self.emu_allocator.as_mut().expect("emulation allocator");
         let topo = self.machine.topology();
         let mask = allocator.allocate(pending.required_cus, self.machine.counters(), &topo);
         self.obs
@@ -687,15 +653,9 @@ impl Runtime {
                     self.obs
                         .metrics
                         .inc("krisp_mask_apply_retries_total", &[], 1);
-                    let token = self.next_internal_token(KIND_MASK_RETRY);
-                    self.mask_retry.insert(
-                        token,
-                        MaskRetry {
-                            pending,
-                            mask,
-                            attempt,
-                        },
-                    );
+                    let token = draw_token(&mut self.next_internal);
+                    self.pending
+                        .insert(token, Internal::MaskRetry(pending, mask, attempt));
                     self.machine.add_timer(wd.backoff * attempt as u64, token);
                 } else {
                     let now = self.machine.now().as_nanos();
@@ -719,13 +679,13 @@ impl Runtime {
             }
         }
     }
+}
 
-    fn next_internal_token(&mut self, kind: u64) -> u64 {
-        debug_assert_eq!(kind & !KIND_BITS, 0, "kind outside its field");
-        let t = INTERNAL_BIT | kind | self.next_internal;
-        self.next_internal += 1;
-        t
-    }
+/// Draws the next internal token from `counter`.
+fn draw_token(counter: &mut u64) -> u64 {
+    let t = INTERNAL_BIT | *counter;
+    *counter += 1;
+    t
 }
 
 #[cfg(test)]

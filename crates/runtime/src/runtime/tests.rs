@@ -496,3 +496,56 @@ fn deterministic_replay() {
     };
     assert_eq!(run(), run());
 }
+
+#[test]
+fn stale_deadline_spares_the_next_kernel_on_a_reused_tag() {
+    // Kernel A completes well before its deadline. The worker's next
+    // run reuses A's (queue, tag) for a longer kernel B, which is still
+    // running when A's deadline fires: B must neither be aborted nor
+    // reported as timed out.
+    let wd = WatchdogConfig {
+        multiplier: 2.0,
+        min_timeout: SimDuration::from_micros(10),
+        max_retries: 3,
+        backoff: SimDuration::from_micros(20),
+    };
+    let (obs, sink) = krisp_obs::Obs::recording(1 << 10);
+    let mut rt = Runtime::new(RuntimeConfig {
+        watchdog: Some(wd),
+        obs,
+        ..RuntimeConfig::default()
+    });
+    let s = rt.create_stream();
+    let a = kernel(1.0e6, 60);
+    let a_deadline =
+        SimTime::ZERO + SimDuration::from_micros(5) + wd.deadline(a.isolated_latency(60));
+    rt.launch(s, a, 0);
+    let mut evs = Vec::new();
+    while !matches!(evs.last(), Some(RtEvent::KernelCompleted { .. })) {
+        evs.push(rt.step().expect("kernel A completes"));
+    }
+    assert!(rt.now() < a_deadline);
+    rt.launch(s, kernel(6.0e6, 60), 0);
+    evs.extend(rt.run_to_idle());
+    let starts: Vec<u64> = evs
+        .iter()
+        .filter_map(|e| match e {
+            RtEvent::KernelStarted { at, .. } => Some(at.as_nanos()),
+            _ => None,
+        })
+        .collect();
+    let done = completions(&evs);
+    assert_eq!(starts.len(), 2, "B was restarted: {evs:?}");
+    assert_eq!(done.len(), 2);
+    // A's deadline fell inside B's run.
+    assert!(starts[1] < a_deadline.as_nanos() && a_deadline.as_nanos() < done[1].1);
+    assert!(!evs
+        .iter()
+        .any(|e| matches!(e, RtEvent::KernelFailed { .. })));
+    assert!(rt.errors().is_empty());
+    let sink = sink.lock().unwrap();
+    assert!(!sink
+        .events()
+        .iter()
+        .any(|e| matches!(e.kind, EventKind::KernelTimeout { .. })));
+}

@@ -32,6 +32,7 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::mem;
 use std::sync::Arc;
 
 use krisp_obs::{EventKind, Obs};
@@ -122,9 +123,6 @@ pub struct Machine {
     /// Pre-interned per-CU label values, indexed by global CU id (built
     /// only when metrics record).
     cu_labels: Vec<String>,
-    pending_dispatch: HashMap<QueueId, DispatchPacket>,
-    inflight: HashMap<KernelId, InflightKernel>,
-    waiting_on_signal: HashMap<SignalId, (QueueId, u64, SimTime)>,
     completed_signals: HashSet<SignalId>,
     next_signal: u64,
 
@@ -141,22 +139,13 @@ pub struct Machine {
     out: VecDeque<SimEvent>,
 }
 
-/// Book-keeping for one executing kernel. The original dispatch packet
-/// is retained so a watchdog can abort and re-issue it.
-struct InflightKernel {
-    queue: QueueId,
-    tag: u64,
-    started: SimTime,
-    packet: DispatchPacket,
-}
-
 impl fmt::Debug for Machine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Machine")
             .field("topology", &self.topology)
             .field("now", &self.now)
             .field("queues", &self.queues.len())
-            .field("inflight", &self.inflight.len())
+            .field("inflight", &self.engine.active_count())
             .field("mode", &self.mode)
             .finish_non_exhaustive()
     }
@@ -191,9 +180,6 @@ impl Machine {
             runnable: BTreeSet::new(),
             queue_labels: Vec::new(),
             cu_labels,
-            pending_dispatch: HashMap::new(),
-            inflight: HashMap::new(),
-            waiting_on_signal: HashMap::new(),
             completed_signals: HashSet::new(),
             next_signal: 0,
             faults: config.faults,
@@ -279,28 +265,23 @@ impl Machine {
     pub fn abort_inflight(&mut self, queue: QueueId) -> Option<DispatchPacket> {
         let qi = queue.0 as usize;
         assert!(qi < self.queues.len(), "unknown queue {queue}");
-        match self.queues[qi].state.clone() {
-            QueueState::Running(id) => {
+        let packet = match mem::replace(&mut self.queues[qi].state, QueueState::Idle) {
+            QueueState::Running { id, packet, .. } => {
                 let mask = self.engine.abort(id);
                 self.counters.release(&mask);
-                let info = self.inflight.remove(&id).expect("running kernel tracked");
-                self.queues[qi].state = QueueState::Idle;
-                self.queues[qi].held = true;
-                self.refresh_runnable(qi);
-                Some(info.packet)
+                packet
             }
-            QueueState::Dispatching => {
-                // Still in launch latency; the pending QueueDelay timer
-                // becomes a no-op (start_pending_dispatch tolerates a
-                // missing entry).
-                let packet = self.pending_dispatch.remove(&queue)?;
-                self.queues[qi].state = QueueState::Idle;
-                self.queues[qi].held = true;
-                self.refresh_runnable(qi);
-                Some(packet)
+            // Still in launch latency; the pending QueueDelay timer finds
+            // the queue no longer dispatching this packet.
+            QueueState::Dispatching(packet) => packet,
+            state => {
+                self.queues[qi].state = state;
+                return None;
             }
-            _ => None,
-        }
+        };
+        self.queues[qi].held = true;
+        self.refresh_runnable(qi);
+        Some(packet)
     }
 
     /// Releases a queue held by [`Machine::abort_inflight`], letting the
@@ -334,7 +315,7 @@ impl Machine {
     /// Creates a new HSA queue (stream) with the full-device CU mask.
     pub fn create_queue(&mut self) -> QueueId {
         let id = QueueId(self.queues.len() as u32);
-        self.queues.push(HsaQueue::new(id, &self.topology));
+        self.queues.push(HsaQueue::new(&self.topology));
         if self.obs.metrics.enabled() {
             self.queue_labels.push(id.0.to_string());
         }
@@ -457,22 +438,45 @@ impl Machine {
         if !self.completed_signals.insert(signal) {
             return;
         }
-        if let Some((queue, tag, blocked_at)) = self.waiting_on_signal.remove(&signal) {
-            self.queues[queue.0 as usize].state = QueueState::Idle;
-            self.refresh_runnable(queue.0 as usize);
-            self.obs
-                .bus
-                .emit(self.now.as_nanos(), || EventKind::BarrierDrain {
-                    queue: queue.0,
+        for qi in 0..self.queues.len() {
+            match self.queues[qi].state {
+                QueueState::BlockedOnSignal {
+                    signal: s,
                     tag,
-                    waited_ns: self.now.saturating_since(blocked_at).as_nanos(),
-                });
-            self.out.push_back(SimEvent::BarrierConsumed {
-                queue,
-                tag,
-                at: self.now,
-            });
+                    since,
+                } if s == signal => {
+                    self.queues[qi].state = QueueState::Idle;
+                    self.refresh_runnable(qi);
+                    self.consume_barrier(QueueId(qi as u32), tag, since);
+                    return;
+                }
+                _ => {}
+            }
         }
+    }
+
+    /// Reports the consumption of barrier `tag`, which waited since
+    /// `since`.
+    fn consume_barrier(&mut self, queue: QueueId, tag: u64, since: SimTime) {
+        self.obs
+            .bus
+            .emit(self.now.as_nanos(), || EventKind::BarrierDrain {
+                queue: queue.0,
+                tag,
+                waited_ns: self.now.saturating_since(since).as_nanos(),
+            });
+        self.out.push_back(SimEvent::BarrierConsumed {
+            queue,
+            tag,
+            at: self.now,
+        });
+    }
+
+    /// The partition size the packet processor honors for `d`: its AQL
+    /// field in [`EnforcementMode::KernelScoped`], else `None`.
+    fn sized(&self, d: &DispatchPacket) -> Option<u16> {
+        d.partition_cus
+            .filter(|_| self.mode == EnforcementMode::KernelScoped)
     }
 
     /// Registers a host timer that fires `delay` after the current
@@ -570,12 +574,12 @@ impl Machine {
 
     /// Whether the command processor may make progress on a queue right
     /// now (ready, and not inside an injected stall window).
-    fn queue_runnable(&self, q: &HsaQueue) -> bool {
-        q.ready()
+    fn queue_runnable(&self, qi: usize) -> bool {
+        self.queues[qi].ready()
             && (self.stalled_until.is_empty()
                 || self
                     .stalled_until
-                    .get(&q.id)
+                    .get(&QueueId(qi as u32))
                     .is_none_or(|&until| until <= self.now))
     }
 
@@ -584,7 +588,7 @@ impl Machine {
     /// packet push, pump, dispatch start/finish, signal completion,
     /// abort/release, and stall-window open/close.
     fn refresh_runnable(&mut self, qi: usize) {
-        if self.queue_runnable(&self.queues[qi]) {
+        if self.queue_runnable(qi) {
             self.runnable.insert(qi as u32);
         } else {
             self.runnable.remove(&(qi as u32));
@@ -615,17 +619,24 @@ impl Machine {
     fn finish_kernel(&mut self, id: KernelId) {
         let mask = self.engine.complete(id);
         self.counters.release(&mask);
-        let InflightKernel {
-            queue,
-            tag,
-            started,
-            packet: _,
-        } = self
-            .inflight
-            .remove(&id)
+        // A machine has a handful of queues: finding the owner by a scan
+        // is cheaper than keeping a kernel → queue map in step.
+        let (qi, started, tag) = self
+            .queues
+            .iter()
+            .enumerate()
+            .find_map(|(qi, q)| match &q.state {
+                QueueState::Running {
+                    id: r,
+                    started,
+                    packet,
+                } if *r == id => Some((qi, *started, packet.tag)),
+                _ => None,
+            })
             .expect("completed kernel not tracked");
-        self.queues[queue.0 as usize].state = QueueState::Idle;
-        self.refresh_runnable(queue.0 as usize);
+        let queue = QueueId(qi as u32);
+        self.queues[qi].state = QueueState::Idle;
+        self.refresh_runnable(qi);
         self.obs
             .bus
             .emit(self.now.as_nanos(), || EventKind::KernelComplete {
@@ -660,9 +671,6 @@ impl Machine {
     }
 
     fn pump_queues(&mut self) {
-        if self.runnable.is_empty() {
-            return;
-        }
         // Cursor walk: pumping one queue never makes another runnable
         // (all effects are queue-local), so ascending-index iteration over
         // the members past the cursor matches the old full scan exactly.
@@ -670,42 +678,24 @@ impl Machine {
         while let Some(&next) = self.runnable.range(cursor..).next() {
             cursor = next + 1;
             let qi = next as usize;
-            loop {
-                if !self.queue_runnable(&self.queues[qi]) {
-                    break;
-                }
+            while self.queue_runnable(qi) {
                 let packet = self.queues[qi].packets.pop_front().expect("ready queue");
                 match packet {
-                    AqlPacket::Barrier(b) => {
-                        let queue = self.queues[qi].id;
-                        match b.wait_on {
-                            Some(sig) if !self.completed_signals.contains(&sig) => {
-                                self.queues[qi].state = QueueState::BlockedOnSignal(sig);
-                                self.waiting_on_signal.insert(sig, (queue, b.tag, self.now));
-                                break;
-                            }
-                            _ => {
-                                self.obs.bus.emit(self.now.as_nanos(), || {
-                                    EventKind::BarrierDrain {
-                                        queue: queue.0,
-                                        tag: b.tag,
-                                        waited_ns: 0,
-                                    }
-                                });
-                                self.out.push_back(SimEvent::BarrierConsumed {
-                                    queue,
-                                    tag: b.tag,
-                                    at: self.now,
-                                });
-                            }
+                    AqlPacket::Barrier(b) => match b.wait_on {
+                        Some(signal) if !self.completed_signals.contains(&signal) => {
+                            self.queues[qi].state = QueueState::BlockedOnSignal {
+                                signal,
+                                tag: b.tag,
+                                since: self.now,
+                            };
+                            break;
                         }
-                    }
+                        _ => self.consume_barrier(QueueId(qi as u32), b.tag, self.now),
+                    },
                     AqlPacket::Dispatch(d) => {
-                        let queue = self.queues[qi].id;
-                        let uses_allocator =
-                            self.mode == EnforcementMode::KernelScoped && d.partition_cus.is_some();
+                        let queue = QueueId(qi as u32);
                         let mut delay = self.costs.kernel_launch;
-                        if uses_allocator {
+                        if self.sized(&d).is_some() {
                             delay += self.costs.mask_generation;
                         }
                         self.obs
@@ -715,8 +705,7 @@ impl Machine {
                                 tag: d.tag,
                                 required_cus: d.partition_cus.unwrap_or(0),
                             });
-                        self.queues[qi].state = QueueState::Dispatching;
-                        self.pending_dispatch.insert(queue, d);
+                        self.queues[qi].state = QueueState::Dispatching(d);
                         self.push_timer(self.now + delay, TimerKind::QueueDelay(queue));
                         break;
                     }
@@ -727,16 +716,21 @@ impl Machine {
     }
 
     fn start_pending_dispatch(&mut self, queue: QueueId) {
-        // A missing entry means the dispatch was aborted mid-launch
-        // (watchdog) — the timer is stale.
-        let Some(d) = self.pending_dispatch.remove(&queue) else {
-            return;
-        };
-        let mut mask = match (self.mode, d.partition_cus) {
-            (EnforcementMode::KernelScoped, Some(n)) => {
-                self.allocator.allocate(n, &self.counters, &self.topology)
+        // A queue not dispatching means the dispatch was aborted
+        // mid-launch (watchdog): the timer is stale. After a release the
+        // queue may be dispatching a later packet, which then starts here.
+        let qi = queue.0 as usize;
+        let d = match mem::replace(&mut self.queues[qi].state, QueueState::Idle) {
+            QueueState::Dispatching(d) => d,
+            state => {
+                self.queues[qi].state = state;
+                return;
             }
-            _ => self.queues[queue.0 as usize].cu_mask,
+        };
+        let sized = self.sized(&d);
+        let mut mask = match sized {
+            Some(n) => self.allocator.allocate(n, &self.counters, &self.topology),
+            None => self.queues[qi].cu_mask,
         };
         if !self.failed_cus.is_empty() {
             // Never run on dead CUs. If the whole mask died (e.g. a
@@ -763,11 +757,7 @@ impl Machine {
                 required_cus: d.partition_cus.unwrap_or(0),
             });
         if self.obs.metrics.enabled() {
-            let mode = if self.mode == EnforcementMode::KernelScoped && d.partition_cus.is_some() {
-                "kernel_scoped"
-            } else {
-                "queue_mask"
-            };
+            let mode = sized.map_or("queue_mask", |_| "kernel_scoped");
             self.obs
                 .metrics
                 .inc("krisp_kernel_dispatches_total", &[("mode", mode)], 1);
@@ -784,23 +774,18 @@ impl Machine {
             )
             .expect("non-empty mask");
         self.counters.assign(&mask);
-        self.queues[queue.0 as usize].state = QueueState::Running(id);
-        self.refresh_runnable(queue.0 as usize);
         self.out.push_back(SimEvent::KernelStarted {
             queue,
             tag: d.tag,
             at: self.now,
             mask,
         });
-        self.inflight.insert(
+        self.queues[qi].state = QueueState::Running {
             id,
-            InflightKernel {
-                queue,
-                tag: d.tag,
-                started: self.now,
-                packet: d,
-            },
-        );
+            started: self.now,
+            packet: d,
+        };
+        self.refresh_runnable(qi);
     }
 
     /// Mean-one lognormal multiplicative jitter.

@@ -26,17 +26,11 @@ impl Machine {
     /// runnable index never goes stale across an expiry.
     pub(super) fn expire_stalls(&mut self) {
         let now = self.now;
-        let expired: Vec<QueueId> = self
-            .stalled_until
-            .iter()
-            .filter(|&(_, &until)| until <= now)
-            .map(|(&q, _)| q)
-            .collect();
-        for q in expired {
-            self.stalled_until.remove(&q);
-            if (q.0 as usize) < self.queues.len() {
-                self.refresh_runnable(q.0 as usize);
-            }
+        self.stalled_until.retain(|_, &mut until| until > now);
+        // Membership is exact, so refreshing every queue only adds the
+        // ones whose window just closed.
+        for qi in 0..self.queues.len() {
+            self.refresh_runnable(qi);
         }
     }
 

@@ -21,8 +21,10 @@
 use std::collections::VecDeque;
 use std::fmt;
 
+use crate::engine::KernelId;
 use crate::kernel::KernelDesc;
 use crate::mask::CuMask;
+use crate::time::SimTime;
 use crate::topology::GpuTopology;
 
 /// Identifier of an HSA queue (one per stream/worker).
@@ -89,24 +91,34 @@ impl From<BarrierPacket> for AqlPacket {
     }
 }
 
-/// Execution state of a queue's front packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Execution state of a queue's front packet, carrying what the command
+/// processor needs to finish it.
+#[derive(Debug)]
 pub(crate) enum QueueState {
     /// No packet in flight; the command processor may pop the next one.
     Idle,
-    /// Front barrier is waiting for a signal.
-    BlockedOnSignal(SignalId),
+    /// Front barrier `tag` has waited for `signal` since `since`.
+    BlockedOnSignal {
+        signal: SignalId,
+        tag: u64,
+        since: SimTime,
+    },
     /// A dispatch is being processed (launch/mask-generation latency).
-    Dispatching,
-    /// A kernel from this queue is executing.
-    Running(crate::engine::KernelId),
+    Dispatching(DispatchPacket),
+    /// A kernel from this queue has been executing since `started`. The
+    /// packet is kept so a watchdog can abort and re-issue it.
+    Running {
+        id: KernelId,
+        started: SimTime,
+        packet: DispatchPacket,
+    },
 }
 
 /// One HSA software queue: a FIFO of packets plus the stream-scoped CU
-/// mask set through the CU-Masking API.
+/// mask set through the CU-Masking API. Its [`QueueId`] is its index in
+/// the machine's queue list.
 #[derive(Debug)]
 pub(crate) struct HsaQueue {
-    pub id: QueueId,
     pub packets: VecDeque<AqlPacket>,
     pub cu_mask: CuMask,
     pub state: QueueState,
@@ -117,9 +129,8 @@ pub(crate) struct HsaQueue {
 }
 
 impl HsaQueue {
-    pub fn new(id: QueueId, topology: &GpuTopology) -> HsaQueue {
+    pub fn new(topology: &GpuTopology) -> HsaQueue {
         HsaQueue {
-            id,
             packets: VecDeque::new(),
             cu_mask: CuMask::full(topology),
             state: QueueState::Idle,
@@ -129,7 +140,7 @@ impl HsaQueue {
 
     /// Whether the command processor can make progress on this queue.
     pub fn ready(&self) -> bool {
-        !self.held && self.state == QueueState::Idle && !self.packets.is_empty()
+        !self.held && matches!(self.state, QueueState::Idle) && !self.packets.is_empty()
     }
 }
 
@@ -140,10 +151,10 @@ mod tests {
     #[test]
     fn new_queue_defaults_to_full_mask() {
         let topo = GpuTopology::MI50;
-        let q = HsaQueue::new(QueueId(0), &topo);
+        let q = HsaQueue::new(&topo);
         assert_eq!(q.cu_mask.count(), 60);
         assert!(!q.ready());
-        assert_eq!(q.state, QueueState::Idle);
+        assert!(matches!(q.state, QueueState::Idle));
     }
 
     #[test]
@@ -166,7 +177,7 @@ mod tests {
     #[test]
     fn ready_requires_idle_and_packets() {
         let topo = GpuTopology::MI50;
-        let mut q = HsaQueue::new(QueueId(1), &topo);
+        let mut q = HsaQueue::new(&topo);
         q.packets.push_back(
             BarrierPacket {
                 wait_on: None,
@@ -175,7 +186,11 @@ mod tests {
             .into(),
         );
         assert!(q.ready());
-        q.state = QueueState::BlockedOnSignal(SignalId(3));
+        q.state = QueueState::BlockedOnSignal {
+            signal: SignalId(3),
+            tag: 0,
+            since: SimTime::ZERO,
+        };
         assert!(!q.ready());
     }
 }
