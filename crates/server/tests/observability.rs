@@ -4,13 +4,17 @@
 //! with the experiment's own results.
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 
 use krisp::Policy;
 use krisp_models::ModelKind;
 use krisp_obs::{perfetto, prometheus, EventKind, Histogram, Obs};
-use krisp_server::{oracle_perfdb, run_server, run_server_observed, ServerConfig};
+use krisp_runtime::WatchdogConfig;
+use krisp_server::{
+    oracle_perfdb, run_server, run_server_observed, Arrival, SentinelConfig, ServerConfig,
+};
 use krisp_sim::stats::percentile;
-use krisp_sim::SimDuration;
+use krisp_sim::{CuMask, FaultPlan, GpuTopology, SimDuration, SimTime};
 
 fn two_worker_config() -> ServerConfig {
     let mut cfg = ServerConfig::closed_loop(Policy::KrispI, vec![ModelKind::Squeezenet; 2], 8);
@@ -154,4 +158,116 @@ fn disabled_observability_leaves_results_identical() {
     let observed = run_server_observed(&cfg, &db, obs);
     // Observability must not perturb the simulation itself.
     assert_eq!(plain, observed);
+}
+
+/// Poisson overload through every guardrail (sheds, brownout
+/// transitions) plus a CU loss and a straggler window under the
+/// watchdog (timeouts, retries, abandoned kernels), so the exporters
+/// render the rare counters as well as the per-kernel series.
+fn exporter_config() -> ServerConfig {
+    let topo = GpuTopology::MI50;
+    let mut cfg = ServerConfig::closed_loop(
+        Policy::KrispI,
+        vec![ModelKind::Squeezenet, ModelKind::Albert],
+        8,
+    );
+    cfg.arrival = Arrival::Poisson {
+        rps_per_worker: 400.0,
+    };
+    cfg.deadline = Some(SimDuration::from_millis(25));
+    cfg.queue_capacity = Some(2);
+    cfg.sentinel = Some(SentinelConfig::standard(300.0));
+    cfg.watchdog = Some(WatchdogConfig::default());
+    cfg.faults = FaultPlan::new()
+        .fail_cus(
+            SimTime::ZERO + SimDuration::from_millis(60),
+            CuMask::first_n(12, &topo),
+        )
+        .straggle_all(
+            SimTime::ZERO + SimDuration::from_millis(100),
+            20.0,
+            SimDuration::from_millis(60),
+        );
+    cfg.warmup = Some(SimDuration::from_millis(20));
+    cfg.duration = Some(SimDuration::from_millis(200));
+    cfg
+}
+
+/// `krisp_mask_generation_ns` holds wall-clock nanoseconds: its buckets
+/// and sum change from run to run, its count does not. Drops the bucket
+/// lines and masks the sum of the Prometheus text.
+fn mask_wall_clock_text(text: &str) -> String {
+    let mut out = String::new();
+    for line in text.lines() {
+        if line.starts_with("krisp_mask_generation_ns_bucket") {
+            continue;
+        }
+        if line.starts_with("krisp_mask_generation_ns_sum") {
+            out.push_str("krisp_mask_generation_ns_sum <wall-clock>\n");
+        } else {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// The JSON form of [`mask_wall_clock_text`]: keeps the histogram's
+/// name, labels and count, masks its sum, extremes and quantiles.
+fn mask_wall_clock_json(json: &str) -> String {
+    let mut out = String::new();
+    for line in json.lines() {
+        match line.split_once(",\"sum\":") {
+            Some((head, _)) if line.contains("\"name\":\"krisp_mask_generation_ns\"") => {
+                out.push_str(head);
+                out.push_str(",\"sum\":<wall-clock>}");
+                if line.ends_with(',') {
+                    out.push(',');
+                }
+            }
+            _ => out.push_str(line),
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Compares `got` with the committed fixture, or rewrites the fixture
+/// when `KRISP_BLESS` is set.
+fn check_fixture(name: &str, got: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/goldens")
+        .join(name);
+    if std::env::var_os("KRISP_BLESS").is_some() {
+        std::fs::write(&path, got).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {}: {e} (run with KRISP_BLESS=1)",
+            path.display()
+        )
+    });
+    assert_eq!(got, want, "{name}: exported metrics diverged");
+}
+
+/// Pins both metrics exporters byte for byte, apart from the wall-clock
+/// histogram's buckets and sum. Re-bless (`KRISP_BLESS=1 cargo test -p
+/// krisp-server --test observability`) only for an intended change to
+/// what a run records.
+#[test]
+fn exported_metrics_match_the_golden() {
+    let cfg = exporter_config();
+    let db = oracle_perfdb(&cfg.models, &[cfg.batch]);
+    let (obs, _sink) = Obs::recording(1 << 20);
+    run_server_observed(&cfg, &db, obs.clone());
+    let registry = obs.metrics.snapshot().expect("metrics recorded");
+    check_fixture(
+        "metrics_exporter.prom",
+        &mask_wall_clock_text(&prometheus::render_text(&registry)),
+    );
+    check_fixture(
+        "metrics_exporter.json",
+        &mask_wall_clock_json(&prometheus::render_json(&registry)),
+    );
 }
