@@ -102,8 +102,14 @@ impl RetryBudget {
         self.denied
     }
 
-    /// Deposits one success at `now`.
+    /// Deposits one success at `now`, first expiring entries that are
+    /// `window` old, so the window holds only live entries however long
+    /// the run. Time only moves forward, so a later [`try_spend`] would
+    /// have expired them anyway: the allowances are unchanged.
+    ///
+    /// [`try_spend`]: RetryBudget::try_spend
     pub fn record_success(&mut self, now: SimTime) {
+        self.expire(now);
         self.successes.push_back(now);
     }
 
@@ -140,7 +146,33 @@ impl RetryBudget {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The budget as it was before `record_success` expired entries:
+    /// only `try_spend` trims the window. The oracle for the eager
+    /// version's decisions.
+    struct Lazy {
+        cfg: RetryBudgetConfig,
+        successes: Vec<SimTime>,
+        retries: Vec<SimTime>,
+    }
+
+    impl Lazy {
+        fn try_spend(&mut self, now: SimTime) -> bool {
+            let window = self.cfg.window;
+            self.successes.retain(|&t| t + window > now);
+            self.retries.retain(|&t| t + window > now);
+            let allowance =
+                self.cfg.ratio * self.successes.len() as f64 + f64::from(self.cfg.min_retries);
+            let granted = (self.retries.len() as f64) < allowance;
+            if granted {
+                self.retries.push(now);
+            }
+            granted
+        }
+    }
 
     fn cfg(ratio: f64, window_ns: u64, min: u32) -> RetryBudgetConfig {
         RetryBudgetConfig {
@@ -197,6 +229,48 @@ mod tests {
         // The granted retry ages out of the window: the floor refills.
         assert!(b.try_spend(SimTime::from_nanos(100)));
         assert_eq!((b.granted(), b.denied()), (2, 1));
+    }
+
+    #[test]
+    fn successes_expire_as_they_are_recorded() {
+        let mut b = RetryBudget::new(RetryBudgetConfig::default());
+        for i in 0..100_000u64 {
+            b.record_success(SimTime::from_nanos(i * 1_000_000));
+        }
+        // A 100 ms window over successes 1 ms apart: 100 are live.
+        assert!(b.successes.len() <= 100, "{} entries", b.successes.len());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Expiring on `record_success` grants exactly the retries the
+        /// lazy budget grants, for any forward-moving history. Short
+        /// gaps and windows make expiry ticks coincide with records and
+        /// spends, where an off-by-one would show.
+        #[test]
+        fn eager_expiry_matches_the_lazy_budget(
+            steps in proptest::collection::vec((0u64..6, 0u8..3), 1..200),
+            ratio in 0.0f64..2.0,
+            window_ns in 1u64..24,
+            min_retries in 0u32..4,
+        ) {
+            let cfg = cfg(ratio, window_ns, min_retries);
+            let mut eager = RetryBudget::new(cfg);
+            let mut lazy = Lazy { cfg, successes: Vec::new(), retries: Vec::new() };
+            let mut now = 0;
+            for (gap, op) in steps {
+                now += gap;
+                let t = SimTime::from_nanos(now);
+                // One step in three asks for a retry.
+                if op == 0 {
+                    prop_assert_eq!(eager.try_spend(t), lazy.try_spend(t));
+                } else {
+                    eager.record_success(t);
+                    lazy.successes.push(t);
+                }
+            }
+        }
     }
 
     #[test]
