@@ -247,13 +247,17 @@ fn lowest_n(bits: u128, n: u16) -> u128 {
 #[derive(Debug)]
 pub struct InstrumentedAllocator<A> {
     inner: A,
-    metrics: krisp_obs::Metrics,
+    /// `krisp_mask_generation_ns`, registered once.
+    latency_ns: krisp_obs::HistogramHandle,
 }
 
 impl<A: MaskAllocator> InstrumentedAllocator<A> {
     /// Wraps `inner`, reporting latencies into `metrics`.
     pub fn new(inner: A, metrics: krisp_obs::Metrics) -> InstrumentedAllocator<A> {
-        InstrumentedAllocator { inner, metrics }
+        InstrumentedAllocator {
+            inner,
+            latency_ns: metrics.register_histogram("krisp_mask_generation_ns", &[]),
+        }
     }
 
     /// The wrapped allocator.
@@ -269,14 +273,12 @@ impl<A: MaskAllocator> MaskAllocator for InstrumentedAllocator<A> {
         counters: &CuKernelCounters,
         topo: &GpuTopology,
     ) -> CuMask {
-        if !self.metrics.enabled() {
+        if !self.latency_ns.enabled() {
             return self.inner.allocate(requested_cus, counters, topo);
         }
         let start = std::time::Instant::now();
         let mask = self.inner.allocate(requested_cus, counters, topo);
-        let elapsed_ns = start.elapsed().as_nanos() as f64;
-        self.metrics
-            .observe("krisp_mask_generation_ns", &[], elapsed_ns);
+        self.latency_ns.observe(start.elapsed().as_nanos() as f64);
         mask
     }
 }

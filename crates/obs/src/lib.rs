@@ -8,7 +8,15 @@
 //!   barrier drains, emulated reconfigurations, request lifecycle — into
 //!   a pluggable [`Sink`] (normally a bounded [`RingBufferSink`]);
 //! * a **metrics registry** ([`Metrics`] / [`Registry`]) of labelled
-//!   counters, gauges and log-bucketed [`Histogram`]s;
+//!   counters, gauges and log-bucketed [`Histogram`]s. A series recorded
+//!   on a hot path is registered once and recorded through a handle
+//!   ([`CounterHandle`], [`GaugeHandle`], [`HistogramHandle`]) that
+//!   indexes the registry's storage: no key is built and no map is
+//!   searched per call. The simulated machine keeps its per-CU and
+//!   per-queue series in slots of its own and publishes them once, when
+//!   the run ends. Every series is reproducible bit for bit except the
+//!   wall-clock `krisp_mask_generation_ns` histogram (see
+//!   [`metrics`]);
 //! * **exporters**: a Chrome-trace-event / Perfetto JSON builder
 //!   ([`perfetto::chrome_trace`]), an ASCII CU × time Gantt chart
 //!   ([`gantt::gantt`], [`gantt::occupancy_profile`]), and Prometheus
@@ -38,6 +46,12 @@
 //! });
 //! obs.metrics.observe("krisp_mask_generation_ns", &[], 800.0);
 //! assert_eq!(sink.lock().unwrap().events().len(), 1);
+//!
+//! // Hot paths register a series once and record by handle.
+//! let done = obs.metrics.register_counter("krisp_requests_total", &[("worker", "0")]);
+//! done.inc(1);
+//! let registry = obs.metrics.snapshot().unwrap();
+//! assert_eq!(registry.counter("krisp_requests_total", &[("worker", "0")]), Some(1));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,7 +68,9 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 pub use event::{Event, EventKind};
-pub use metrics::{Histogram, MetricKey, Metrics, Registry};
+pub use metrics::{
+    CounterHandle, GaugeHandle, Histogram, HistogramHandle, MetricKey, Metrics, Registry,
+};
 pub use sink::{EventBus, RingBufferSink, Sink};
 
 /// The observability bundle handed down through configuration structs:

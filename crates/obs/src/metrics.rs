@@ -5,12 +5,34 @@
 //! sorted label set, so iteration order (and therefore every exporter's
 //! output) is deterministic.
 //!
+//! # Register once, record by handle
+//!
+//! A series that is recorded per kernel or per request is registered
+//! once, at bring-up ([`Metrics::register_counter`],
+//! [`Metrics::register_gauge`], [`Metrics::register_histogram`]). The
+//! returned handle holds the series' index into the registry's storage,
+//! so recording through it builds no [`MetricKey`], makes no map lookup
+//! and takes one uncontended lock. Registering exports nothing: a series
+//! appears in [`Registry::counters`] and the exporters only once it is
+//! first recorded, exactly as with the name-keyed calls
+//! ([`Metrics::inc`], [`Metrics::set_gauge`], [`Metrics::observe`]),
+//! which stay for cold paths that fire once per fault or retry. A handle
+//! from a disabled [`Metrics`] is inert and costs one branch per call.
+//!
+//! Series that are only read after a run do not need the registry while
+//! it runs: the simulated machine accumulates its per-CU and per-queue
+//! series in plain slots of its own and publishes them once, when the
+//! run ends.
+//!
 //! [`Histogram`] buckets grow geometrically by [`Histogram::GROWTH`]
 //! (10% per bucket), which bounds the error of
 //! [`Histogram::quantile`] to one bucket relative to the exact
 //! nearest-rank percentile (`krisp_sim::stats::percentile` is the
 //! reference definition): the exact rank-`r` sample lies inside the
-//! bucket whose upper bound the sketch reports.
+//! bucket whose upper bound the sketch reports. A histogram adds its
+//! observations one by one in recording order, so its `_sum` is
+//! reproducible bit for bit, except for `krisp_mask_generation_ns`,
+//! which records host wall-clock nanoseconds and differs on every run.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -168,12 +190,61 @@ impl Histogram {
     }
 }
 
+/// One kind of series: a key index in key order over a slot vector. A
+/// slot is `None` from registration until its first record, so a
+/// registered series that was never recorded is not exported.
+#[derive(Debug, Clone)]
+struct Family<V> {
+    index: BTreeMap<MetricKey, usize>,
+    slots: Vec<Option<V>>,
+}
+
+impl<V> Default for Family<V> {
+    fn default() -> Family<V> {
+        Family {
+            index: BTreeMap::new(),
+            slots: Vec::new(),
+        }
+    }
+}
+
+impl<V> Family<V> {
+    /// The slot of `name{labels}`, allocating an empty one on first use.
+    fn register(&mut self, name: &str, labels: &[(&str, &str)]) -> usize {
+        let next = self.slots.len();
+        let slot = *self
+            .index
+            .entry(MetricKey::new(name, labels))
+            .or_insert(next);
+        if slot == next {
+            self.slots.push(None);
+        }
+        slot
+    }
+
+    fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&V> {
+        let slot = *self.index.get(&MetricKey::new(name, labels))?;
+        self.slots[slot].as_ref()
+    }
+
+    /// Recorded series, in key order.
+    fn iter(&self) -> impl Iterator<Item = (&MetricKey, &V)> {
+        self.index
+            .iter()
+            .filter_map(|(key, &slot)| self.slots[slot].as_ref().map(|v| (key, v)))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.slots.iter().all(Option::is_none)
+    }
+}
+
 /// The backing store of all metric series.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, f64>,
-    histograms: BTreeMap<MetricKey, Histogram>,
+    counters: Family<u64>,
+    gauges: Family<f64>,
+    histograms: Family<Histogram>,
 }
 
 impl Registry {
@@ -184,38 +255,49 @@ impl Registry {
 
     /// Adds `delta` to a counter series, creating it at zero.
     pub fn inc(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        *self
-            .counters
-            .entry(MetricKey::new(name, labels))
-            .or_insert(0) += delta;
+        let slot = self.counters.register(name, labels);
+        self.inc_slot(slot, delta);
     }
 
     /// Sets a gauge series to `value`.
     pub fn set_gauge(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.gauges.insert(MetricKey::new(name, labels), value);
+        let slot = self.gauges.register(name, labels);
+        self.set_gauge_slot(slot, value);
     }
 
     /// Records `value` into a histogram series.
     pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.histograms
-            .entry(MetricKey::new(name, labels))
-            .or_default()
+        let slot = self.histograms.register(name, labels);
+        self.observe_slot(slot, value);
+    }
+
+    fn inc_slot(&mut self, slot: usize, delta: u64) {
+        *self.counters.slots[slot].get_or_insert(0) += delta;
+    }
+
+    fn set_gauge_slot(&mut self, slot: usize, value: f64) {
+        self.gauges.slots[slot] = Some(value);
+    }
+
+    fn observe_slot(&mut self, slot: usize, value: f64) {
+        self.histograms.slots[slot]
+            .get_or_insert_with(Histogram::new)
             .observe(value);
     }
 
     /// Reads a counter series.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        self.counters.get(&MetricKey::new(name, labels)).copied()
+        self.counters.get(name, labels).copied()
     }
 
     /// Reads a gauge series.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        self.gauges.get(&MetricKey::new(name, labels)).copied()
+        self.gauges.get(name, labels).copied()
     }
 
     /// Reads a histogram series.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Histogram> {
-        self.histograms.get(&MetricKey::new(name, labels))
+        self.histograms.get(name, labels)
     }
 
     /// All counter series, in key order.
@@ -297,11 +379,99 @@ impl Metrics {
         }
     }
 
+    /// Registers the counter series `name{labels}` and returns its
+    /// handle (inert when disabled). The series is exported from its
+    /// first [`CounterHandle::inc`] on.
+    pub fn register_counter(&self, name: &str, labels: &[(&str, &str)]) -> CounterHandle {
+        CounterHandle(self.register(|r| r.counters.register(name, labels)))
+    }
+
+    /// Registers the gauge series `name{labels}`; see
+    /// [`Metrics::register_counter`].
+    pub fn register_gauge(&self, name: &str, labels: &[(&str, &str)]) -> GaugeHandle {
+        GaugeHandle(self.register(|r| r.gauges.register(name, labels)))
+    }
+
+    /// Registers the histogram series `name{labels}`; see
+    /// [`Metrics::register_counter`].
+    pub fn register_histogram(&self, name: &str, labels: &[(&str, &str)]) -> HistogramHandle {
+        HistogramHandle(self.register(|r| r.histograms.register(name, labels)))
+    }
+
+    fn register(&self, slot_of: impl FnOnce(&mut Registry) -> usize) -> Slot {
+        match &self.inner {
+            Some(inner) => Slot {
+                index: slot_of(&mut inner.lock().expect("registry poisoned")),
+                registry: Some(Arc::clone(inner)),
+            },
+            None => Slot::default(),
+        }
+    }
+
     /// A point-in-time copy of the registry (`None` when disabled).
     pub fn snapshot(&self) -> Option<Registry> {
         self.inner
             .as_ref()
             .map(|inner| inner.lock().expect("registry poisoned").clone())
+    }
+}
+
+/// A registered series: its registry and its index there (no registry
+/// when metrics are disabled).
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    registry: Option<Arc<Mutex<Registry>>>,
+    index: usize,
+}
+
+impl Slot {
+    #[inline]
+    fn record(&self, write: impl FnOnce(&mut Registry, usize)) {
+        if let Some(registry) = &self.registry {
+            write(&mut registry.lock().expect("registry poisoned"), self.index);
+        }
+    }
+}
+
+/// A counter series registered with [`Metrics::register_counter`].
+#[derive(Debug, Clone, Default)]
+pub struct CounterHandle(Slot);
+
+impl CounterHandle {
+    /// Adds `delta` to the series.
+    #[inline]
+    pub fn inc(&self, delta: u64) {
+        self.0.record(|r, slot| r.inc_slot(slot, delta));
+    }
+}
+
+/// A gauge series registered with [`Metrics::register_gauge`].
+#[derive(Debug, Clone, Default)]
+pub struct GaugeHandle(Slot);
+
+impl GaugeHandle {
+    /// Sets the series to `value`.
+    #[inline]
+    pub fn set(&self, value: f64) {
+        self.0.record(|r, slot| r.set_gauge_slot(slot, value));
+    }
+}
+
+/// A histogram series registered with [`Metrics::register_histogram`].
+#[derive(Debug, Clone, Default)]
+pub struct HistogramHandle(Slot);
+
+impl HistogramHandle {
+    /// True when observations are recorded (the registering
+    /// [`Metrics`] was live).
+    pub fn enabled(&self) -> bool {
+        self.0.registry.is_some()
+    }
+
+    /// Records one observation.
+    #[inline]
+    pub fn observe(&self, value: f64) {
+        self.0.record(|r, slot| r.observe_slot(slot, value));
     }
 }
 
@@ -328,6 +498,52 @@ mod tests {
         assert_eq!(r.gauge("depth", &[]), Some(4.0));
         assert_eq!(r.histogram("lat", &[]).unwrap().count(), 1);
         assert_eq!(r.counter("hits", &[("worker", "1")]), None);
+    }
+
+    #[test]
+    fn handles_record_into_the_named_series() {
+        let m = Metrics::recording();
+        let hits = m.register_counter("hits", &[("worker", "0")]);
+        let depth = m.register_gauge("depth", &[]);
+        let lat = m.register_histogram("lat", &[]);
+        hits.inc(2);
+        m.inc("hits", &[("worker", "0")], 3);
+        depth.set(4.0);
+        lat.observe(10.0);
+        m.observe("lat", &[], 20.0);
+        let r = m.snapshot().unwrap();
+        assert_eq!(r.counter("hits", &[("worker", "0")]), Some(5));
+        assert_eq!(r.gauge("depth", &[]), Some(4.0));
+        assert_eq!(r.histogram("lat", &[]).unwrap().sum(), 30.0);
+    }
+
+    #[test]
+    fn a_registered_series_is_exported_only_once_recorded() {
+        let m = Metrics::recording();
+        let zero = m.register_counter("zero", &[]);
+        let _never = m.register_counter("never", &[]);
+        let _gauge = m.register_gauge("g", &[]);
+        let _hist = m.register_histogram("h", &[]);
+        assert!(m.snapshot().unwrap().is_empty());
+        // A zero delta still creates the series, as `inc` does.
+        zero.inc(0);
+        let r = m.snapshot().unwrap();
+        let names: Vec<&str> = r.counters().map(|(k, _)| k.name.as_str()).collect();
+        assert_eq!(names, ["zero"]);
+        assert_eq!(r.gauges().count() + r.histograms().count(), 0);
+        assert_eq!(r.counter("never", &[]), None);
+    }
+
+    #[test]
+    fn disabled_handles_are_inert() {
+        let m = Metrics::disabled();
+        let c = m.register_counter("hits", &[]);
+        c.inc(1);
+        m.register_gauge("g", &[]).set(1.0);
+        let h = m.register_histogram("h", &[]);
+        assert!(!h.enabled());
+        h.observe(1.0);
+        assert!(m.snapshot().is_none());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
 
-use krisp_obs::{EventKind, Obs};
+use krisp_obs::{CounterHandle, EventKind, Obs};
 use krisp_sim::{
     AqlPacket, CuKernelCounters, CuMask, EnforcementMode, FullMaskAllocator, GpuTopology,
     KernelDesc, Machine, MachineConfig, MachineError, MaskAllocator, QueueId, SignalId,
@@ -90,6 +90,8 @@ pub struct Runtime {
     pending: Table<u64, Internal>,
     next_internal: u64,
     emulated_launches: u64,
+    /// `krisp_emulated_launches_total`, registered once.
+    emulated_launches_total: CounterHandle,
     obs: Obs,
     watchdog: Option<WatchdogConfig>,
     /// Watchdog state of every launched kernel, by `(queue, tag)`.
@@ -157,6 +159,10 @@ impl Runtime {
             pending: Table::default(),
             next_internal: 0,
             emulated_launches: 0,
+            emulated_launches_total: config
+                .obs
+                .metrics
+                .register_counter("krisp_emulated_launches_total", &[]),
             obs: config.obs,
             watchdog: config.watchdog,
             guards: Table::default(),
@@ -165,6 +171,12 @@ impl Runtime {
             retry_budget: config.retry_budget.map(RetryBudget::new),
             widening: MaskWidening::None,
         }
+    }
+
+    /// Publishes the machine's per-CU and per-queue metric series; see
+    /// [`Machine::publish_metrics`]. Call it when the run ends.
+    pub fn publish_metrics(&mut self) {
+        self.machine.publish_metrics();
     }
 
     /// The device topology.
@@ -334,9 +346,7 @@ impl Runtime {
                     }),
                 );
                 self.emulated_launches += 1;
-                self.obs
-                    .metrics
-                    .inc("krisp_emulated_launches_total", &[], 1);
+                self.emulated_launches_total.inc(1);
             }
             // Stream masking, or an emulated stream whose mask IOCTLs keep
             // faulting: it runs degraded on its last good stream mask.

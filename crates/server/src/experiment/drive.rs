@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use krisp_models::{generate_trace, TraceConfig};
-use krisp_obs::{EventKind, Obs};
+use krisp_obs::{CounterHandle, EventKind, GaugeHandle, HistogramHandle, Obs};
 use krisp_runtime::{RequiredCusTable, RtEvent, Runtime, RuntimeConfig, StreamId};
 use krisp_sim::SimTime;
 
@@ -55,6 +55,47 @@ impl Meter {
     }
 }
 
+/// One worker's metric series, registered once at bring-up.
+pub(super) struct WorkerSeries {
+    /// `krisp_requests_total{model, worker}`.
+    requests: CounterHandle,
+    /// `krisp_request_latency_ms{model, worker}`.
+    latency_ms: HistogramHandle,
+    /// `krisp_request_queue_depth{worker}`.
+    queue_depth: GaugeHandle,
+    /// `krisp_sentinel_admission_shed_total{worker}`.
+    admission_shed: CounterHandle,
+    /// `krisp_requests_shed_total{worker}`.
+    capacity_shed: CounterHandle,
+}
+
+impl WorkerSeries {
+    /// The series of every worker, or none when metrics are disabled.
+    fn register(obs: &Obs, workers: &[Worker]) -> Vec<WorkerSeries> {
+        if !obs.metrics.enabled() {
+            return Vec::new();
+        }
+        let m = &obs.metrics;
+        workers
+            .iter()
+            .enumerate()
+            .map(|(wi, w)| {
+                let worker = wi.to_string();
+                let by_worker = [("worker", worker.as_str())];
+                let by_model = [("model", w.model.name()), by_worker[0]];
+                WorkerSeries {
+                    requests: m.register_counter("krisp_requests_total", &by_model),
+                    latency_ms: m.register_histogram("krisp_request_latency_ms", &by_model),
+                    queue_depth: m.register_gauge("krisp_request_queue_depth", &by_worker),
+                    admission_shed: m
+                        .register_counter("krisp_sentinel_admission_shed_total", &by_worker),
+                    capacity_shed: m.register_counter("krisp_requests_shed_total", &by_worker),
+                }
+            })
+            .collect()
+    }
+}
+
 /// All per-run state of the single-GPU server: the runtime machine, its
 /// workers, the sentinel admission chain, and the meter readings taken
 /// at the warmup and window-end timers.
@@ -63,6 +104,8 @@ pub(super) struct ServerEngine<'a> {
     pub(super) obs: Obs,
     pub(super) rt: Runtime,
     pub(super) workers: Vec<Worker>,
+    /// Per-worker metric series (empty when metrics are disabled).
+    pub(super) series: Vec<WorkerSeries>,
     pub(super) chain: AdmissionChain,
     pub(super) deadline_ms: Option<f64>,
     pub(super) arrivals: StdRng,
@@ -170,7 +213,7 @@ impl ServerEngine<'_> {
         // token-bucket rate cap.
         if !self.chain.admit(wi, at, w.queue.len(), w.busy()) {
             self.flow_shed_admission += 1;
-            self.shed(wi, req.id, at, "krisp_sentinel_admission_shed_total");
+            self.shed(wi, req.id, at, |s| &s.admission_shed);
             return;
         }
         if w.queue.push(req).is_ok() {
@@ -184,20 +227,16 @@ impl ServerEngine<'_> {
                 }
             }
         } else {
-            self.shed(wi, req.id, at, "krisp_requests_shed_total");
+            self.shed(wi, req.id, at, |s| &s.capacity_shed);
         }
-        if self.obs.metrics.enabled() {
-            self.obs.metrics.set_gauge(
-                "krisp_request_queue_depth",
-                &[("worker", &wi.to_string())],
-                self.workers[wi].queue.len() as f64,
-            );
+        if let Some(s) = self.series.get(wi) {
+            s.queue_depth.set(self.workers[wi].queue.len() as f64);
         }
     }
 
     /// Sheds request `id` at worker `wi`: emits `RequestShed` and bumps
-    /// the worker-labelled counter `metric`.
-    fn shed(&self, wi: usize, id: u64, at: SimTime, metric: &str) {
+    /// the worker's shed counter that `counter` picks.
+    fn shed(&self, wi: usize, id: u64, at: SimTime, counter: fn(&WorkerSeries) -> &CounterHandle) {
         let depth = self.workers[wi].queue.len() as u32;
         self.workers[wi]
             .bus
@@ -205,10 +244,8 @@ impl ServerEngine<'_> {
                 request_id: id,
                 depth,
             });
-        if self.obs.metrics.enabled() {
-            self.obs
-                .metrics
-                .inc(metric, &[("worker", &wi.to_string())], 1);
+        if let Some(s) = self.series.get(wi) {
+            counter(s).inc(1);
         }
     }
 
@@ -220,7 +257,6 @@ impl ServerEngine<'_> {
         let Some(done) = w.end_run(tag) else {
             return;
         };
-        let model_name = w.model.name();
         for req in done {
             let latency_ms = at.saturating_since(req.arrival).as_millis_f64();
             let request_id = w.records.len() as u64;
@@ -228,13 +264,9 @@ impl ServerEngine<'_> {
                 request_id,
                 start_ns: req.arrival.as_nanos(),
             });
-            if self.obs.metrics.enabled() {
-                let worker_label = wi.to_string();
-                let labels = [("model", model_name), ("worker", &worker_label)];
-                self.obs.metrics.inc("krisp_requests_total", &labels, 1);
-                self.obs
-                    .metrics
-                    .observe("krisp_request_latency_ms", &labels, latency_ms);
+            if let Some(s) = self.series.get(wi) {
+                s.requests.inc(1);
+                s.latency_ms.observe(latency_ms);
             }
             w.records.push((at, latency_ms));
             // Feed the brownout controller one headroom sample per
@@ -311,7 +343,10 @@ pub fn run_server(config: &ServerConfig, perfdb: &RequiredCusTable) -> Experimen
 /// mask events ride the same bus, and the metrics registry accumulates
 /// request-latency histograms, queue-depth gauges and the
 /// `krisp_mask_generation_ns` histogram (via [`krisp::InstrumentedAllocator`]
-/// around the policy's allocator).
+/// around the policy's allocator). Per-request series are registered
+/// once here and recorded by handle; the machine's per-CU and per-queue
+/// series are published when the event loop drains, so they are in the
+/// registry when this returns.
 ///
 /// Passing [`Obs::disabled`] makes this identical to [`run_server`].
 ///
@@ -444,6 +479,7 @@ pub fn run_server_observed(
     // drains is the whole loop.
     let mut engine = ServerEngine {
         config,
+        series: WorkerSeries::register(&obs, &workers),
         obs,
         rt,
         workers,
@@ -460,6 +496,7 @@ pub fn run_server_observed(
     while let Some(ev) = engine.rt.step() {
         engine.handle(ev);
     }
+    engine.rt.publish_metrics();
 
     result::finish(engine, warmup, duration, setup_errors)
 }

@@ -56,8 +56,10 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::GpuTopology;
 
 use faults::StraggleWindow;
+use series::MachineSeries;
 
 mod faults;
+mod series;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TimerKind {
@@ -116,13 +118,8 @@ pub struct Machine {
     /// superset): a stale entry would make `next_event_at` report a
     /// spurious event "now" and change multi-machine interleaving.
     runnable: BTreeSet<u32>,
-    /// Pre-interned metric label values (`queue.0` as a string, indexed
-    /// by queue id), so the per-completion hot path never allocates.
-    /// Only read when metrics record, so only built then.
-    queue_labels: Vec<String>,
-    /// Pre-interned per-CU label values, indexed by global CU id (built
-    /// only when metrics record).
-    cu_labels: Vec<String>,
+    /// Metric slots and handles; `None` unless metrics record.
+    series: Option<MachineSeries>,
     completed_signals: HashSet<SignalId>,
     next_signal: u64,
 
@@ -154,13 +151,6 @@ impl fmt::Debug for Machine {
 impl Machine {
     /// Creates a machine from a configuration.
     pub fn new(config: MachineConfig) -> Machine {
-        let cu_labels = if config.obs.metrics.enabled() {
-            (0..config.topology.total_cus())
-                .map(|cu| cu.to_string())
-                .collect()
-        } else {
-            Vec::new()
-        };
         let mut machine = Machine {
             topology: config.topology,
             power: config.power,
@@ -175,11 +165,10 @@ impl Machine {
             energy: EnergyMeter::new(),
             busy_cu_seconds: 0.0,
             service_cu_seconds: 0.0,
-            obs: config.obs,
             queues: Vec::new(),
             runnable: BTreeSet::new(),
-            queue_labels: Vec::new(),
-            cu_labels,
+            series: MachineSeries::new(&config.obs.metrics, &config.topology),
+            obs: config.obs,
             completed_signals: HashSet::new(),
             next_signal: 0,
             faults: config.faults,
@@ -316,8 +305,8 @@ impl Machine {
     pub fn create_queue(&mut self) -> QueueId {
         let id = QueueId(self.queues.len() as u32);
         self.queues.push(HsaQueue::new(&self.topology));
-        if self.obs.metrics.enabled() {
-            self.queue_labels.push(id.0.to_string());
+        if let Some(series) = &mut self.series {
+            series.add_queue();
         }
         id
     }
@@ -377,13 +366,8 @@ impl Machine {
             .get_mut(queue.0 as usize)
             .unwrap_or_else(|| panic!("unknown queue {queue}"));
         q.packets.push_back(packet);
-        if self.obs.metrics.enabled() {
-            let depth = q.packets.len() as f64;
-            self.obs.metrics.set_gauge(
-                "krisp_queue_depth",
-                &[("queue", &self.queue_labels[queue.0 as usize])],
-                depth,
-            );
+        if let Some(series) = &mut self.series {
+            series.pushed(queue.0 as usize, q.packets.len());
         }
         self.refresh_runnable(queue.0 as usize);
     }
@@ -646,22 +630,8 @@ impl Machine {
                 mask: mask.raw_words(),
                 granted_cus: mask.count(),
             });
-        if self.obs.metrics.enabled() {
-            let dur_ns = self.now.saturating_since(started).as_nanos();
-            self.obs.metrics.inc(
-                "krisp_kernel_busy_ns",
-                &[("queue", &self.queue_labels[queue.0 as usize])],
-                dur_ns,
-            );
-            // Per-CU occupancy: nanoseconds each CU spent allocated to
-            // some kernel (the Resource Monitor's view, accumulated).
-            for cu in &mask {
-                self.obs.metrics.inc(
-                    "krisp_cu_allocated_ns",
-                    &[("cu", &self.cu_labels[usize::from(cu)])],
-                    dur_ns,
-                );
-            }
+        if let Some(series) = &mut self.series {
+            series.completed(qi, &mask, self.now.saturating_since(started).as_nanos());
         }
         self.out.push_back(SimEvent::KernelCompleted {
             queue,
@@ -756,11 +726,8 @@ impl Machine {
                 granted_cus: mask.count(),
                 required_cus: d.partition_cus.unwrap_or(0),
             });
-        if self.obs.metrics.enabled() {
-            let mode = sized.map_or("queue_mask", |_| "kernel_scoped");
-            self.obs
-                .metrics
-                .inc("krisp_kernel_dispatches_total", &[("mode", mode)], 1);
+        if let Some(series) = &self.series {
+            series.dispatched(sized.is_some());
         }
         let jitter = self.sample_jitter();
         let straggle = self.straggle_factor(queue);

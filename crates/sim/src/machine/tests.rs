@@ -482,3 +482,47 @@ fn counters_track_inflight_kernels() {
     drain(&mut m);
     assert_eq!(m.counters().total(), 0);
 }
+
+#[test]
+fn per_cu_and_per_queue_series_are_published_when_the_run_ends() {
+    let topo = GpuTopology::MI50;
+    let metrics = krisp_obs::Metrics::recording();
+    let mut m = Machine::new(MachineConfig {
+        obs: Obs {
+            metrics: metrics.clone(),
+            ..Obs::default()
+        },
+        ..MachineConfig::default()
+    });
+    let q = m.create_queue();
+    m.set_queue_mask(q, CuMask::first_n(4, &topo)).unwrap();
+    m.push_dispatch(q, KernelDesc::new("k", 6.0e6, 60), 0);
+    m.push_dispatch(q, KernelDesc::new("k", 3.0e6, 60), 1);
+    drain(&mut m);
+
+    // The dispatch counter records by handle, at once; the slots wait.
+    let r = metrics.snapshot().unwrap();
+    assert_eq!(
+        r.counter("krisp_kernel_dispatches_total", &[("mode", "queue_mask")]),
+        Some(2)
+    );
+    assert_eq!(r.counter("krisp_kernel_busy_ns", &[("queue", "0")]), None);
+
+    // Publishing twice adds nothing the second time.
+    m.publish_metrics();
+    m.publish_metrics();
+    let r = metrics.snapshot().unwrap();
+    let busy = r
+        .counter("krisp_kernel_busy_ns", &[("queue", "0")])
+        .unwrap();
+    assert!(busy > 0);
+    for cu in 0..4 {
+        let cu = cu.to_string();
+        assert_eq!(
+            r.counter("krisp_cu_allocated_ns", &[("cu", &cu)]),
+            Some(busy)
+        );
+    }
+    assert_eq!(r.counter("krisp_cu_allocated_ns", &[("cu", "4")]), None);
+    assert_eq!(r.gauge("krisp_queue_depth", &[("queue", "0")]), Some(2.0));
+}
