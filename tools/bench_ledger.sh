@@ -7,9 +7,10 @@
 # Each run is `--trace 1 --seed 0 --seconds 1`. A traced run replays a
 # fixed job list, so its counts (kernels, requests, allocations,
 # Algorithm 1 calls, obs events) repeat exactly on one toolchain and can
-# gate; host times and `host.ref_ms` vary run to run and are recorded as
-# context only. The script exits 1 when any job fails its digest check or
-# a workload allocates more than its line in tools/alloc_ceilings.txt.
+# gate; host times, the traced run's `obs.overhead` and `obs.export_ms`,
+# and `host.ref_ms` vary run to run and are recorded as context only.
+# The script exits 1 when any job fails its digest check or a workload
+# allocates more than its line in tools/alloc_ceilings.txt.
 # Needs cargo and jq.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -76,6 +77,8 @@ for w in "${workloads[@]}"; do
           traced_ms: $traced_ms,
           "host.ns_per_kernel": $m["host.ns_per_kernel"],
           "core.alloc_ns": $m["core.alloc_ns"],
+          "obs.overhead": $m["obs.overhead"],
+          "obs.export_ms": $m["obs.export_ms"],
           "host.ref_ms": $m["host.ref_ms"]
         }
       }}')")
